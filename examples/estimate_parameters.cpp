@@ -15,6 +15,7 @@
 
 #include "analysis/Fitness.h"
 #include "rbm/CuratedModels.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 
@@ -48,7 +49,7 @@ int main() {
   std::vector<std::pair<double, double>> Bounds;
   for (size_t R : Unknown) {
     ParameterAxis Axis;
-    Axis.Name = "k" + std::to_string(R);
+    Axis.Name = formatString("k%zu", R);
     Axis.Target = AxisTarget::RateConstant;
     Axis.Reactions = {R};
     Axis.Lo = 1e-2;
@@ -93,7 +94,7 @@ int main() {
     const double True = Net.reaction(Unknown[I]).RateConstant;
     const double Est = std::pow(10.0, Fit.BestPosition[I]);
     std::printf("%-6s %12.5f %12.5f %8.2f%%\n",
-                ("k" + std::to_string(Unknown[I])).c_str(), True, Est,
+                formatString("k%zu", Unknown[I]).c_str(), True, Est,
                 100.0 * std::abs(Est - True) / True);
   }
   std::printf("\nconvergence: ");

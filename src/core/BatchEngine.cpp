@@ -6,8 +6,6 @@
 
 #include "core/BatchEngine.h"
 
-#include "device/DeviceRuntime.h"
-#include "device/StreamTimeline.h"
 #include "fabric/NodeCoordinator.h"
 #include "sched/ShardedExecutor.h"
 #include "support/Error.h"
@@ -66,18 +64,7 @@ void fillFromStream(EngineReport &Report, StreamReport &&Streamed) {
 
 BatchEngine::BatchEngine(const CostModel &Model, EngineOptions Options)
     : Opts(std::move(Options)), Model(Model) {
-  auto KindOrErr = parseRuntimeKind(Opts.Runtime);
-  if (!KindOrErr)
-    fatalError(KindOrErr.message());
-  RuntimeOptions RtOpts;
-  RtOpts.PoolMaxCachedBytes = Opts.PoolMaxCachedBytes;
-  auto RuntimeOrErr =
-      createDeviceRuntime(*KindOrErr, Model.gpu(), /*HostWorkers=*/0, RtOpts);
-  if (!RuntimeOrErr)
-    fatalError(RuntimeOrErr.message());
-  Runtime = std::shared_ptr<DeviceRuntime>(std::move(*RuntimeOrErr));
-  auto SimOrErr = createSimulator(Opts.SimulatorName, Model, /*HostWorkers=*/0,
-                                  Runtime);
+  auto SimOrErr = createSimulator(Opts.SimulatorName, Model);
   if (!SimOrErr)
     fatalError(SimOrErr.message());
   Sim = std::move(*SimOrErr);
@@ -207,20 +194,6 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
     return Seconds;
   };
 
-  // On an asynchronous runtime the dispatch runs as a host task on a
-  // dedicated compute stream, so the overlap phase below prepares the
-  // next sub-batches genuinely concurrently with the integration and
-  // the hidden-prepare accounting is measured (real stage intervals)
-  // rather than modeled. The eager host runtime keeps the modeled path:
-  // its streams complete inline, so dispatch-then-prepare serializes
-  // exactly as before and results stay bit-identical either way (the
-  // simulator call itself is untouched).
-  const bool Async = Runtime && Runtime->asynchronous();
-  std::unique_ptr<Stream> Compute;
-  if (Async)
-    Compute = Runtime->createStream("engine:compute");
-  StreamTimeline Timeline;
-
   // The first sub-batch has no device execution to hide beneath, so its
   // preparation is always exposed.
   prepareNext();
@@ -232,66 +205,32 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
     P.Spec.OutcomeBuffer = &Recycled;
     const uint64_t Count = P.Spec.Batch;
 
-    // Dispatch phase: run the sub-batch through the simulator — inline
-    // on the eager runtime, as a compute-stream task on an async one.
-    // The task owns Result/Spec/Recycled until the fence below; the
-    // caller thread only touches the staging state meanwhile.
+    // Dispatch phase: run the sub-batch through the simulator.
     BatchResult Result;
-    StageInterval ComputeSpan;
-    std::exception_ptr DispatchError;
-    StreamFence Fence;
-    if (Async) {
-      Compute->hostTask("engine.sub_batch", [&] {
-        TraceSpan SubBatchSpan("engine.sub_batch", "engine");
-        ComputeSpan.begin();
-        try {
-          Result = Sim->run(P.Spec);
-        } catch (...) {
-          DispatchError = std::current_exception();
-        }
-        ComputeSpan.end();
-        if (!DispatchError)
-          SubBatchSpan.setModeledSeconds(Result.SimulationTime.total());
-        Fence.signal();
-      });
-    } else {
+    {
       TraceSpan SubBatchSpan("engine.sub_batch", "engine");
-      ComputeSpan.begin();
+      WallTimer DispatchTimer;
       Result = Sim->run(P.Spec);
-      ComputeSpan.end();
+      DispatchSeconds.record(DispatchTimer.seconds());
       SubBatchSpan.setModeledSeconds(Result.SimulationTime.total());
     }
 
-    // Overlap phase: while this sub-batch's device execution runs,
-    // build the following sub-batches up to the in-flight window. On
-    // the async runtime these prepare intervals really execute under
-    // the compute task; on the eager one the cost model bounds how much
-    // of the host time the second stream would have hidden.
+    // Overlap phase: build the following sub-batches up to the in-flight
+    // window; the cost model bounds how much of this host time a second
+    // stream would have hidden beneath the sub-batch's device execution.
     double PreparedDuring = 0.0;
     while (Staged.size() + 1 < InFlight) {
-      StageInterval PrepareSpan;
-      PrepareSpan.begin();
       const double Seconds = prepareNext();
-      PrepareSpan.end();
       if (Seconds < 0.0)
         break;
-      Timeline.addTransfer(PrepareSpan);
       PreparedDuring += Seconds;
     }
-    if (Async) {
-      Fence.wait();
-      if (DispatchError)
-        std::rethrow_exception(DispatchError);
-    }
-    Timeline.addCompute(ComputeSpan);
-    DispatchSeconds.record(ComputeSpan.seconds());
     SubBatchCount.add();
     Simulations.add(Count);
     FailureCount.add(Result.Failures);
     SubBatchSims.record(static_cast<double>(Count));
-    if (!Async)
-      Report.HiddenPrepareSeconds += Model.hiddenPrepareSeconds(
-          PreparedDuring, Result.SimulationTime.total());
+    Report.HiddenPrepareSeconds += Model.hiddenPrepareSeconds(
+        PreparedDuring, Result.SimulationTime.total());
 
     logMessage(LogLevel::Info,
                "engine sub-batch %llu: %llu sims, %zu failures, "
@@ -328,11 +267,6 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
       prepareNext();
   }
 
-  // Async runtimes get the measured figure: the prepare intervals that
-  // actually overlapped the compute-stream task, straight off the
-  // timeline. Eager runtimes keep the modeled per-sub-batch sum.
-  if (Async)
-    Report.HiddenPrepareSeconds = Timeline.hiddenTransferSeconds();
   Report.OverlapRatio =
       Report.PrepareWallSeconds > 0.0
           ? Report.HiddenPrepareSeconds / Report.PrepareWallSeconds

@@ -44,20 +44,6 @@ class NodeCoordinator;
 struct EngineOptions {
   /// Simulator personality ("psg-engine", "cpu-lsoda", ...).
   std::string SimulatorName = "psg-engine";
-  /// Device runtime executing the personality's kernels: "host" (the
-  /// eager modeled device, always available), "host-async" (worker-
-  /// thread-backed streams with real cross-stream events and a pooled
-  /// allocator — the CUDA asynchrony semantics on host memory), or
-  /// "cuda" (the real-GPU seam; needs a PSG_WITH_CUDA build and a
-  /// working device). Parsed by parseRuntimeKind; engine construction
-  /// fails on a runtime that is not available in this build. Sharded
-  /// runs give each logical device its own runtime instance of this
-  /// kind.
-  std::string Runtime = "host";
-  /// Ceiling on bytes the runtime's buffer pool keeps cached between
-  /// allocations (host-async and cuda runtimes; the eager host runtime
-  /// has no pool). 0 disables caching — every acquire misses.
-  size_t PoolMaxCachedBytes = 64ull << 20;
   /// Sub-batch size; 512 maximizes modeled throughput on the Titan X.
   uint64_t SubBatchSize = 512;
   /// Sub-batches in flight in streaming runs. 1 serializes generation
@@ -129,11 +115,9 @@ struct StreamReport {
   /// exported as the gauge `psg.engine.peak_resident_outcomes`.
   size_t PeakResidentOutcomes = 0;
   /// Host-side sub-batch preparation wall time (generation, point
-  /// application, spec assembly) and the part of it hidden beneath
-  /// device execution through double-buffering. On the eager host
-  /// runtime the hidden share is modeled by the cost model; on an
-  /// asynchronous runtime it is measured — the real intersection of
-  /// prepare intervals with the compute stream's execution windows.
+  /// application, spec assembly) and the part of it the cost model
+  /// hides beneath device execution through double-buffering
+  /// (CostModel::hiddenPrepareSeconds).
   double PrepareWallSeconds = 0.0;
   double HiddenPrepareSeconds = 0.0;
   /// HiddenPrepareSeconds / PrepareWallSeconds; 0 when InFlight == 1.
@@ -206,10 +190,6 @@ public:
 private:
   EngineOptions Opts;
   CostModel Model;
-  /// The device runtime behind Sim's kernel launches; shared with the
-  /// simulator so stream() can pipeline sub-batches on it directly when
-  /// it is asynchronous.
-  std::shared_ptr<DeviceRuntime> Runtime;
   std::unique_ptr<Simulator> Sim;
   /// The multi-device scheduler, created lazily on the first sharded
   /// stream (Opts.Sched.enabled()) and kept warm across runs so device

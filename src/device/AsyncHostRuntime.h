@@ -30,10 +30,6 @@
 /// kernels run on the same VirtualDevice; only the host-side schedule
 /// changes.
 ///
-/// This runtime is the semantics template for the real CUDA backend:
-/// CudaRuntime must be observably indistinguishable from it under the
-/// conformance suite in tests/device_runtime_test.cpp.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSG_DEVICE_ASYNCHOSTRUNTIME_H

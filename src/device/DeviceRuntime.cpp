@@ -8,9 +8,6 @@
 
 #include "device/AsyncHostRuntime.h"
 #include "device/HostRuntime.h"
-#ifdef PSG_WITH_CUDA
-#include "device/CudaRuntime.h"
-#endif
 
 using namespace psg;
 
@@ -43,14 +40,6 @@ ErrorOr<RuntimeKind> psg::parseRuntimeKind(const std::string &Name) {
       "unknown runtime '" + Name + "' (known: host, host-async, cuda)");
 }
 
-bool psg::cudaRuntimeCompiledIn() {
-#ifdef PSG_WITH_CUDA
-  return true;
-#else
-  return false;
-#endif
-}
-
 ErrorOr<std::unique_ptr<DeviceRuntime>>
 psg::createDeviceRuntime(RuntimeKind Kind, DeviceSpec Spec,
                          unsigned HostWorkers, const RuntimeOptions &Options) {
@@ -62,12 +51,8 @@ psg::createDeviceRuntime(RuntimeKind Kind, DeviceSpec Spec,
     return std::unique_ptr<DeviceRuntime>(std::make_unique<AsyncHostRuntime>(
         std::move(Spec), HostWorkers, Options));
   case RuntimeKind::Cuda:
-#ifdef PSG_WITH_CUDA
-    return createCudaRuntime(std::move(Spec));
-#else
     return ErrorOr<std::unique_ptr<DeviceRuntime>>::failure(
-        "cuda runtime not compiled in (rebuild with -DPSG_WITH_CUDA=ON)");
-#endif
+        "cuda runtime not available: psg has no CUDA backend");
   }
   return ErrorOr<std::unique_ptr<DeviceRuntime>>::failure(
       "unknown runtime kind");

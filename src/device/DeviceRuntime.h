@@ -13,7 +13,12 @@
 /// cudaMemcpyAsync / event / <<<grid, block>>>) expressed backend-
 /// neutrally.
 ///
-/// Three implementations exist:
+/// The layer sits off the execution path: simulators, BatchEngine,
+/// ShardedExecutor and NodeWorker launch straight on
+/// vgpu::VirtualDevice, and nothing outside the device-runtime tests
+/// constructs a runtime. ROADMAP.md schedules its removal.
+///
+/// Two implementations exist:
 ///
 ///  * HostRuntime (device/HostRuntime.h): the modeled device. Kernels
 ///    really run on the host thread pool through vgpu::VirtualDevice,
@@ -24,12 +29,10 @@
 ///    device behind truly asynchronous streams — each stream is a
 ///    worker-thread-backed FIFO queue, events are epoch-tagged condition
 ///    waits, and buffers come from a size-classed pool
-///    (device/BufferPool.h). This is the concurrency template the real
-///    CUDA backend implements verbatim.
-///  * CudaRuntime (device/CudaRuntime.h, behind PSG_WITH_CUDA): the seam
-///    for a real GPU. It compiles against stub declarations when no
-///    toolkit is present and fails loudly at construction until the
-///    native kernel port lands.
+///    (device/BufferPool.h).
+///
+/// There is no CUDA backend: RuntimeKind::Cuda parses, but creating it
+/// fails.
 ///
 /// Semantics contract (pinned by the runtime-conformance suite in
 /// tests/device_runtime_test.cpp, parameterized over eager and async
@@ -243,8 +246,7 @@ struct AtomicRuntimeCounters {
 };
 
 /// One execution backend: a device spec, streams, buffers, events, and
-/// kernel launch. Owned per logical device (each sharded-executor device
-/// and each single-device engine holds its own runtime instance).
+/// kernel launch over one owned device.
 class DeviceRuntime {
 public:
   virtual ~DeviceRuntime();
@@ -306,20 +308,16 @@ void downloadArray(Stream &S, const DeviceBuffer &Src, T *Dst, size_t Count,
   S.download(Src, Dst, Count * sizeof(T), SrcOffsetElems * sizeof(T));
 }
 
-/// The selectable backends. Host and HostAsync are always available;
-/// Cuda requires a PSG_WITH_CUDA build and a working device at
-/// construction time.
+/// The runtime names. Host and HostAsync are always available; Cuda has
+/// no backend, so createDeviceRuntime fails for it.
 enum class RuntimeKind { Host, HostAsync, Cuda };
 
 /// Stable display name ("host", "host-async", "cuda").
 const char *runtimeKindName(RuntimeKind Kind);
 
 /// Parses a runtime name; fails with the known-name list on anything
-/// else (the psg-cli --runtime grammar).
+/// else.
 ErrorOr<RuntimeKind> parseRuntimeKind(const std::string &Name);
-
-/// True when this build carries the CUDA backend (PSG_WITH_CUDA=ON).
-bool cudaRuntimeCompiledIn();
 
 /// Backend knobs beyond the device spec. Only the asynchronous runtimes
 /// consult the pool settings today; the eager host runtime allocates
@@ -332,9 +330,7 @@ struct RuntimeOptions {
 
 /// Creates a runtime of \p Kind over \p Spec. \p HostWorkers caps the
 /// host pool backing the host runtimes (0 = hardware concurrency).
-/// Fails — loudly, with an actionable message — when the backend is not
-/// compiled in or its device cannot be initialized; it never returns a
-/// half-constructed runtime.
+/// Fails for RuntimeKind::Cuda, which has no backend.
 ErrorOr<std::unique_ptr<DeviceRuntime>>
 createDeviceRuntime(RuntimeKind Kind, DeviceSpec Spec,
                     unsigned HostWorkers = 0,

@@ -75,11 +75,9 @@ struct ExecutorKey {
 } // namespace
 
 NodeWorker::NodeWorker(const CostModel &Model, FabricEndpoint &Endpoint,
-                       SchedOptions Local, double HeartbeatIntervalSeconds,
-                       std::string Runtime)
+                       SchedOptions Local, double HeartbeatIntervalSeconds)
     : Model(Model), Endpoint(Endpoint), Local(std::move(Local)),
-      HeartbeatIntervalSeconds(HeartbeatIntervalSeconds),
-      Runtime(std::move(Runtime)) {
+      HeartbeatIntervalSeconds(HeartbeatIntervalSeconds) {
   assert(this->Local.enabled() && "worker needs at least one local device");
 }
 
@@ -171,7 +169,6 @@ WorkerReport NodeWorker::serve(const ReactionNetwork &Net) {
     Wanted.Solver = G.Solver;
     if (!Executor || !(Key == Wanted)) {
       EngineOptions E;
-      E.Runtime = Runtime;
       E.SubBatchSize = G.ChunkSize ? G.ChunkSize : 512;
       E.StartTime = G.StartTime;
       E.EndTime = G.EndTime;

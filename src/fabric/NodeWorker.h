@@ -45,11 +45,8 @@ class NodeWorker {
 public:
   /// \p Local configures the worker's device fleet (personality names;
   /// must be non-empty). \p Endpoint must outlive the worker.
-  /// \p Runtime names the device runtime each local device executes on
-  /// ("host", "host-async", "cuda"); validated by engine construction.
   NodeWorker(const CostModel &Model, FabricEndpoint &Endpoint,
-             SchedOptions Local, double HeartbeatIntervalSeconds = 0.05,
-             std::string Runtime = "host");
+             SchedOptions Local, double HeartbeatIntervalSeconds = 0.05);
 
   /// Blocks serving grants against \p Net. Returns when the coordinator
   /// sends NodeGoodbye, the transport closes, or a grant is
@@ -61,7 +58,6 @@ private:
   FabricEndpoint &Endpoint;
   SchedOptions Local;
   double HeartbeatIntervalSeconds;
-  std::string Runtime;
 };
 
 } // namespace psg

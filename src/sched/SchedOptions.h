@@ -53,18 +53,9 @@ struct SchedOptions {
   uint64_t ChunkSize = 0;
 
   /// Shards staged ahead per device. Bounds scheduler-resident
-  /// simulations at roughly Devices * (QueueDepth + PipelineDepth) *
-  /// ChunkSize.
+  /// simulations at roughly Devices * (QueueDepth + 1) * ChunkSize: the
+  /// queued shards plus the one each device is running.
   uint64_t QueueDepth = 2;
-
-  /// Shards in flight through each device's three-stream pipeline on an
-  /// asynchronous runtime. 2 = double buffering: while shard k
-  /// integrates on the compute stream, shard k+1 uploads and shard k-1
-  /// downloads on the transfer streams. 1 disables pipelining. Eager
-  /// runtimes always run depth 1 — their streams complete stages
-  /// inline, so a deeper window overlaps nothing and would only drain
-  /// shards out of the stealable queues early.
-  unsigned PipelineDepth = 2;
 
   /// Host pool workers behind each device's virtual device (0 = divide
   /// the hardware concurrency evenly across devices, minimum 1).

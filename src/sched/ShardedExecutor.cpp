@@ -25,8 +25,6 @@
 
 #include "sched/ShardedExecutor.h"
 
-#include "device/DeviceRuntime.h"
-#include "device/StreamTimeline.h"
 #include "sched/DeliveryLedger.h"
 #include "support/Error.h"
 #include "support/Logging.h"
@@ -79,36 +77,16 @@ struct Shard {
   std::vector<std::vector<double>> InitialStates;
 };
 
-/// One shard in flight through a device's three-stream pipeline. The
-/// staging thread fills it and enqueues the dataflow
-///
-///     upload stream:   [h2d params] --Uploaded-->
-///     compute stream:                 [integrate] --Computed-->
-///     download stream:                              [d2h results] -> Done
-///
-/// then hands the struct to the in-flight window. Nothing here is
-/// touched by the device thread again until Done fires, which gives the
-/// retire a happens-before edge over every field the stages wrote.
-struct PipelinedShard {
+/// One attempt of a shard on a device: what the retire needs to account
+/// for it and deliver it, or to re-queue it.
+struct ShardAttempt {
   Shard Sh;
-  BatchSpec Spec;
   BatchResult Result;
-  bool Killed = false; ///< Fault injector ate the attempt before staging.
-  bool Failed = false; ///< Killed, or the simulator threw mid-integrate.
-  double DispatchSeconds = 0.0; ///< Host wall inside the integrate stage.
+  bool Failed = false; ///< Killed by the fault hook, or the simulator threw.
+  double DispatchSeconds = 0.0; ///< Host wall inside Simulator::run.
+  /// Bytes the modeled device moves over PCIe for the shard: its rate
+  /// constants and initial states up, one final time per simulation down.
   uint64_t TransferBytes = 0;
-  std::vector<double> Packed;   ///< Upload image; alive until Done.
-  std::vector<double> Returned; ///< Download target; alive until Done.
-  std::unique_ptr<DeviceBuffer> ParamBuf;
-  std::unique_ptr<DeviceBuffer> ResultBuf;
-  std::unique_ptr<Event> Uploaded;
-  std::unique_ptr<Event> Computed;
-  StageInterval UploadSpan, ComputeSpan, DownloadSpan;
-  /// Recycle slot this shard's integrate consumes (unordered delivery);
-  /// the retire refills the same slot, which the next shard staged into
-  /// it cannot observe before then (slots rotate with the window).
-  std::vector<SimulationOutcome> *RecycleSlot = nullptr;
-  StreamFence Done;
 };
 
 } // namespace
@@ -117,21 +95,8 @@ struct ShardedExecutor::Impl {
   /// One logical device: a personality pinned to a host-worker slice,
   /// its queue, and its running totals.
   struct DeviceState {
-    /// The device runtime this logical device executes on. The simulator
-    /// shares it (its kernels launch through the same runtime), and the
-    /// shard pipeline's stages run on the three streams below, so
-    /// transfer volumes accrue to this device's runtime counters.
-    std::shared_ptr<DeviceRuntime> Runtime;
-    /// Dedicated streams of the double-buffered pipeline: H2D copies,
-    /// integration, and D2H copies each get their own queue (the
-    /// CUDA copy-engine layout), with events enforcing the per-shard
-    /// upload -> integrate -> download dataflow. On an asynchronous
-    /// runtime shard k's integrate really overlaps shard k+1's upload
-    /// and shard k-1's download; the eager runtime runs the same
-    /// dataflow serially and bit-exactly.
-    std::unique_ptr<Stream> Upload;
-    std::unique_ptr<Stream> Compute;
-    std::unique_ptr<Stream> Download;
+    /// The personality, launching on its own virtual device over this
+    /// device's slice of host workers.
     std::unique_ptr<Simulator> Sim;
     std::string Name;
     uint64_t Chunk = 0;
@@ -153,14 +118,10 @@ struct ShardedExecutor::Impl {
     double ModeledBusy = 0.0;
     double HostBusy = 0.0;
     DeviceShardReport Report;
-    /// Rotating recycle buffers for unordered delivery, one per
-    /// pipeline slot so a retiring shard's refill never races the next
-    /// shard's integrate.
-    std::vector<std::vector<SimulationOutcome>> RecycleSlots;
-    uint64_t Staged = 0; ///< Shards staged; indexes RecycleSlots.
-    /// Measured stage intervals of the run (filled at retire, read
-    /// after the device threads joined).
-    StreamTimeline Timeline;
+    /// Outcome storage recycled between this device's shards under
+    /// unordered delivery: a shard's run consumes it and its retire
+    /// refills it, both on the device thread.
+    std::vector<SimulationOutcome> Recycled;
   };
 
   CostModel Model;
@@ -177,34 +138,12 @@ struct ShardedExecutor::Impl {
       const unsigned Hc = std::max(1u, std::thread::hardware_concurrency());
       Workers = std::max(1u, Hc / N);
     }
-    auto KindOrErr = parseRuntimeKind(Engine.Runtime);
-    if (!KindOrErr)
-      fatalError(KindOrErr.message());
     Devices.resize(N);
     double MaxWeight = 0.0;
     for (unsigned D = 0; D < N; ++D) {
-      // One runtime instance per logical device: its streams, buffers
-      // and counters belong to this device alone, and the personality's
-      // kernels launch through it (sharing the pinned host-worker
-      // slice).
-      RuntimeOptions RtOpts;
-      RtOpts.PoolMaxCachedBytes = Engine.PoolMaxCachedBytes;
-      auto RuntimeOrErr =
-          createDeviceRuntime(*KindOrErr, Model.gpu(), Workers, RtOpts);
-      if (!RuntimeOrErr)
-        fatalError(RuntimeOrErr.message());
-      Devices[D].Runtime = std::move(*RuntimeOrErr);
       Devices[D].Name =
           formatString("device%u:%s", D, Sched.Devices[D].c_str());
-      Devices[D].Upload =
-          Devices[D].Runtime->createStream(Devices[D].Name + ":h2d");
-      Devices[D].Compute =
-          Devices[D].Runtime->createStream(Devices[D].Name + ":compute");
-      Devices[D].Download =
-          Devices[D].Runtime->createStream(Devices[D].Name + ":d2h");
-      auto SimOrErr =
-          createSimulator(Sched.Devices[D], Model, Workers,
-                          Devices[D].Runtime);
+      auto SimOrErr = createSimulator(Sched.Devices[D], Model, Workers);
       if (!SimOrErr)
         fatalError(SimOrErr.message());
       Devices[D].Sim = std::move(*SimOrErr);
@@ -259,18 +198,10 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
   const bool Ordered = S.Sched.OrderedDelivery;
   const unsigned MaxAttempts = std::max(1u, S.Sched.MaxShardAttempts);
   const uint64_t QueueDepth = std::max<uint64_t>(1, S.Sched.QueueDepth);
-  // Pipelining ahead only pays on an asynchronous runtime: eager
-  // streams complete every stage inside stageShard, so a deeper window
-  // would just drain shards out of the stealable queues early without
-  // overlapping anything. Depth 1 there keeps the seed scheduler's
-  // exact queue dynamics (and its steal/requeue test surface).
-  const unsigned Depth = S.Devices[0].Runtime->asynchronous()
-                             ? std::max(1u, S.Sched.PipelineDepth)
-                             : 1;
-  // Shards generated but not yet delivered (queued + in the pipeline
-  // window + pending reorder); bounds scheduler-resident simulations.
+  // Shards generated but not yet delivered (queued + one running per
+  // device + pending reorder); bounds scheduler-resident simulations.
   const size_t OutstandingCap =
-      static_cast<size_t>(N) * (QueueDepth + Depth) + (Ordered ? N : 0);
+      static_cast<size_t>(N) * (QueueDepth + 1) + (Ordered ? N : 0);
 
   TraceSpan RunSpan("sched.run", "sched");
   MetricsRegistry &M = metrics();
@@ -299,9 +230,7 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     Dev.Report = DeviceShardReport();
     Dev.Report.Name = Dev.Name;
     Dev.Report.Simulator = Dev.Sim->name();
-    Dev.RecycleSlots.assign(Depth, {});
-    Dev.Staged = 0;
-    Dev.Timeline = StreamTimeline();
+    Dev.Recycled = std::vector<SimulationOutcome>();
   }
 
   std::mutex Mx;
@@ -312,9 +241,9 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
   size_t NextIndex = 0;
   size_t Outstanding = 0;
   size_t Resident = 0;
-  // Modeled PCIe time of the shard pipeline's H2D/D2H stages and the
-  // part hidden beneath device execution (copy-engine overlap); guarded
-  // by Mx, exported as psg.device.transfer_* gauges.
+  // Modeled PCIe time of the shards' host-device transfers and the part
+  // hidden beneath device execution (copy-engine overlap); guarded by
+  // Mx, exported as psg.device.transfer_* gauges.
   double TransferModeled = 0.0;
   double TransferHidden = 0.0;
   DeliveryLedger Ledger(Ordered);
@@ -344,117 +273,66 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     Resident -= A.FlushedSimulations;
   };
 
-  // Stages one shard onto device \p Me's three streams and returns its
-  // in-flight record. Called without Mx: every side effect is confined
-  // to the shard record and the device's streams. On an eager runtime
-  // all stages complete before this returns (the pre-pipeline schedule,
-  // bit-exact); on an asynchronous runtime it returns with the dataflow
-  // enqueued and the streams overlapping neighbouring shards.
-  auto stageShard = [&](unsigned Me, Shard &&Sh) {
+  // Runs one attempt of a shard on device \p Me. Called without Mx:
+  // every side effect is confined to the attempt record and the
+  // device's own simulator and recycle buffer.
+  auto runShard = [&](unsigned Me, Shard &&Sh) {
     Impl::DeviceState &D = S.Devices[Me];
-    auto P = std::make_unique<PipelinedShard>();
-    PipelinedShard &R = *P;
-    R.Sh = std::move(Sh);
-    R.Killed = S.Sched.FaultInjector &&
-               S.Sched.FaultInjector(R.Sh.First, Me, R.Sh.Attempt);
-    R.Failed = R.Killed;
-    if (R.Killed) {
-      // The dead attempt never touches the streams; the shard still
-      // owns its parameterizations for the re-queue.
-      R.Done.signal();
-      return P;
+    ShardAttempt A;
+    A.Sh = std::move(Sh);
+    if (S.Sched.FaultInjector &&
+        S.Sched.FaultInjector(A.Sh.First, Me, A.Sh.Attempt)) {
+      // The dead attempt runs nothing; the shard still owns its
+      // parameterizations for the re-queue.
+      A.Failed = true;
+      return A;
     }
+    uint64_t Doubles = A.Sh.Count;
+    for (const std::vector<double> &Rates : A.Sh.RateConstantSets)
+      Doubles += Rates.size();
+    for (const std::vector<double> &Y0 : A.Sh.InitialStates)
+      Doubles += Y0.size();
+    A.TransferBytes = Doubles * sizeof(double);
 
-    R.Spec.Model = &Net;
-    R.Spec.Compiled = Compiled;
-    R.Spec.Batch = R.Sh.Count;
-    R.Spec.StartTime = S.Engine.StartTime;
-    R.Spec.EndTime = S.Engine.EndTime;
-    R.Spec.OutputSamples = S.Engine.OutputSamples;
-    R.Spec.Options = S.Engine.Solver;
-    R.Spec.RateConstantSets = std::move(R.Sh.RateConstantSets);
-    R.Spec.InitialStates = std::move(R.Sh.InitialStates);
-    if (!Ordered) {
-      R.RecycleSlot = &D.RecycleSlots[D.Staged % D.RecycleSlots.size()];
-      R.Spec.OutcomeBuffer = R.RecycleSlot;
+    BatchSpec Spec;
+    Spec.Model = &Net;
+    Spec.Compiled = Compiled;
+    Spec.Batch = A.Sh.Count;
+    Spec.StartTime = S.Engine.StartTime;
+    Spec.EndTime = S.Engine.EndTime;
+    Spec.OutputSamples = S.Engine.OutputSamples;
+    Spec.Options = S.Engine.Solver;
+    Spec.RateConstantSets = std::move(A.Sh.RateConstantSets);
+    Spec.InitialStates = std::move(A.Sh.InitialStates);
+    if (!Ordered)
+      Spec.OutcomeBuffer = &D.Recycled;
+
+    TraceSpan ShardSpan("sched.shard", "sched");
+    WallTimer Timer;
+    try {
+      A.Result = D.Sim->run(Spec);
+      ShardSpan.setModeledSeconds(A.Result.SimulationTime.total());
+    } catch (const std::exception &E) {
+      A.Failed = true;
+      logMessage(LogLevel::Warning, "sched: %s failed shard @%zu: %s",
+                 D.Name.c_str(), A.Sh.First, E.what());
     }
-    ++D.Staged;
-
-    for (const std::vector<double> &Rates : R.Spec.RateConstantSets)
-      R.Packed.insert(R.Packed.end(), Rates.begin(), Rates.end());
-    for (const std::vector<double> &Y0 : R.Spec.InitialStates)
-      R.Packed.insert(R.Packed.end(), Y0.begin(), Y0.end());
-    R.Returned.resize(R.Sh.Count);
-    R.ParamBuf = D.Runtime->allocateArray<double>(R.Packed.size());
-    R.ResultBuf = D.Runtime->allocateArray<double>(R.Sh.Count);
-    R.Uploaded = D.Runtime->createEvent();
-    R.Computed = D.Runtime->createEvent();
-    R.TransferBytes = (R.Packed.size() + R.Sh.Count) * sizeof(double);
-
-    // Upload stream: push the packed parameterizations, bracketed by
-    // timestamps taken on the stream itself so the interval is the
-    // op's real execution window, then mark the upload point.
-    D.Upload->hostTask("sched.h2d.begin", [&R] { R.UploadSpan.begin(); });
-    uploadArray(*D.Upload, *R.ParamBuf, R.Packed.data(), R.Packed.size());
-    D.Upload->hostTask("sched.h2d.end", [&R] { R.UploadSpan.end(); });
-    D.Upload->record(*R.Uploaded);
-
-    // Compute stream: integrate after the upload landed. The simulator
-    // shares this device's runtime, so its kernels launch through the
-    // same backend the pipeline runs on.
-    Impl::DeviceState *DP = &D;
-    D.Compute->wait(*R.Uploaded);
-    D.Compute->hostTask("sched.integrate", [&R, DP] {
-      TraceSpan ShardSpan("sched.shard", "sched");
-      R.ComputeSpan.begin();
-      WallTimer Timer;
-      try {
-        R.Result = DP->Sim->run(R.Spec);
-      } catch (const std::exception &E) {
-        R.Failed = true;
-        logMessage(LogLevel::Warning, "sched: %s failed shard @%zu: %s",
-                   DP->Name.c_str(), R.Sh.First, E.what());
-      }
-      if (!R.Failed) {
-        // Pack the per-simulation results (final integration times)
-        // into the result buffer. On a real backend the integration
-        // kernel itself would have filled it in device memory.
-        double *Final = static_cast<double *>(R.ResultBuf->deviceData());
-        for (uint64_t I = 0; I < R.Sh.Count; ++I)
-          Final[I] = R.Result.Outcomes[I].Result.FinalTime;
-        ShardSpan.setModeledSeconds(R.Result.SimulationTime.total());
-      }
-      R.DispatchSeconds = Timer.seconds();
-      R.ComputeSpan.end();
-    });
-    D.Compute->record(*R.Computed);
-
-    // Download stream: pull the results after the integrate retired,
-    // then release the shard to the device thread. A failed integrate
-    // downloads the zero-filled result buffer — defined bytes that the
-    // retire discards.
-    D.Download->wait(*R.Computed);
-    D.Download->hostTask("sched.d2h.begin", [&R] { R.DownloadSpan.begin(); });
-    downloadArray(*D.Download, *R.ResultBuf, R.Returned.data(), R.Sh.Count);
-    D.Download->hostTask("sched.retire", [&R] {
-      R.DownloadSpan.end();
-      R.Done.signal();
-    });
-    return P;
+    A.DispatchSeconds = Timer.seconds();
+    if (A.Failed) {
+      // Reclaim the parameterizations so the re-queued attempt carries
+      // identical inputs.
+      A.Sh.RateConstantSets = std::move(Spec.RateConstantSets);
+      A.Sh.InitialStates = std::move(Spec.InitialStates);
+    }
+    return A;
   };
 
-  // Retires one completed shard: scheduling accounting, delivery, and
-  // the failure/re-queue path. Mx must be held and P.Done signaled.
-  auto retireLocked = [&](unsigned Me, PipelinedShard &P) {
+  // Retires one shard attempt: scheduling accounting, delivery, and the
+  // failure/re-queue path. Mx must be held.
+  auto retireLocked = [&](unsigned Me, ShardAttempt &A) {
     Impl::DeviceState &D = S.Devices[Me];
-    Shard &Sh = P.Sh;
-    if (P.Failed) {
-      if (!P.Killed) {
-        // The spec still owns the parameterizations; reclaim them so
-        // the re-queued attempt carries identical inputs.
-        Sh.RateConstantSets = std::move(P.Spec.RateConstantSets);
-        Sh.InitialStates = std::move(P.Spec.InitialStates);
-      }
+    Shard &Sh = A.Sh;
+    if (A.Failed) {
       ++D.Report.Requeues;
       D.Assigned -= Sh.EstimateSeconds; // The dead attempt cost nothing.
       if (Sh.Attempt + 1 < MaxAttempts) {
@@ -493,7 +371,7 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
       return;
     }
 
-    const double Modeled = P.Result.SimulationTime.total();
+    const double Modeled = A.Result.SimulationTime.total();
     const double PerSim = Modeled / static_cast<double>(Sh.Count);
     D.EstSecondsPerSim = D.EstSecondsPerSim > 0.0
                              ? 0.5 * D.EstSecondsPerSim + 0.5 * PerSim
@@ -502,30 +380,27 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     // the virtual finish time converges on the true device makespan.
     D.Assigned += Modeled - Sh.EstimateSeconds;
     D.ModeledBusy += Modeled;
-    D.HostBusy += P.DispatchSeconds;
+    D.HostBusy += A.DispatchSeconds;
     const double TransferSeconds =
-        static_cast<double>(P.TransferBytes) /
+        static_cast<double>(A.TransferBytes) /
         (S.Model.tunables().PcieBandwidthGBs * 1e9);
     TransferModeled += TransferSeconds;
     TransferHidden += S.Model.hiddenPrepareSeconds(TransferSeconds, Modeled);
-    D.Timeline.addTransfer(P.UploadSpan);
-    D.Timeline.addTransfer(P.DownloadSpan);
-    D.Timeline.addCompute(P.ComputeSpan);
     ++D.Report.Shards;
     D.Report.Simulations += Sh.Count;
     ShardsC.add();
     SimsC.add(Sh.Count);
-    DispatchS.record(P.DispatchSeconds);
+    DispatchS.record(A.DispatchSeconds);
 
-    Rep.Stream.TotalStats.merge(P.Result.TotalStats);
-    accumulateModeled(Rep.Stream.IntegrationTime, P.Result.IntegrationTime);
-    accumulateModeled(Rep.Stream.SimulationTime, P.Result.SimulationTime);
-    Rep.Stream.HostWallSeconds += P.Result.HostWallSeconds;
-    Rep.Stream.Failures += P.Result.Failures;
+    Rep.Stream.TotalStats.merge(A.Result.TotalStats);
+    accumulateModeled(Rep.Stream.IntegrationTime, A.Result.IntegrationTime);
+    accumulateModeled(Rep.Stream.SimulationTime, A.Result.SimulationTime);
+    Rep.Stream.HostWallSeconds += A.Result.HostWallSeconds;
+    Rep.Stream.Failures += A.Result.Failures;
     Rep.Stream.Simulations += Sh.Count;
     ++Rep.Stream.SubBatches;
-    deliverLocked(Sh.First, std::move(P.Result.Outcomes),
-                  Ordered ? nullptr : P.RecycleSlot);
+    deliverLocked(Sh.First, std::move(A.Result.Outcomes),
+                  Ordered ? nullptr : &D.Recycled);
     assert(Outstanding > 0 && "outstanding accounting underflow");
     --Outstanding;
     SpaceCv.notify_all();
@@ -535,75 +410,56 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
 
   auto deviceLoop = [&](unsigned Me) {
     Impl::DeviceState &D = S.Devices[Me];
-    // Shards in flight through this device's streams, retired FIFO.
-    // Depth 2 is the double buffer: the front shard drains (or
-    // integrates) while the back shard stages behind it.
-    std::deque<std::unique_ptr<PipelinedShard>> Window;
     std::unique_lock<std::mutex> Lk(Mx);
     for (;;) {
       Shard Sh;
       bool Have = false;
-      if (Window.size() < Depth) {
-        if (!D.Queue.empty()) {
-          Sh = std::move(D.Queue.front());
-          D.Queue.pop_front();
-          D.QueuedEstimate -= Sh.EstimateSeconds;
-          Have = true;
-        } else if (Dry) {
-          // Source dry and nothing local: steal the newest queued shard
-          // from the straggler with the latest modeled virtual finish —
-          // but only when the theft is profitable in modeled time, i.e.
-          // this device would finish the shard before the victim would
-          // have. Host idleness alone is not a reason to steal: on a
-          // serializing host every device looks idle in turn, and
-          // ungated steals would pile a concurrent fleet's work onto
-          // whichever thread the OS favors.
-          int Victim = -1;
-          double VictimFinish = 0.0;
-          for (unsigned J = 0; J < N; ++J)
-            if (J != Me && !S.Devices[J].Queue.empty() &&
-                (Victim < 0 || S.Devices[J].Assigned > VictimFinish)) {
-              Victim = static_cast<int>(J);
-              VictimFinish = S.Devices[J].Assigned;
-            }
-          if (Victim >= 0) {
-            Impl::DeviceState &V = S.Devices[static_cast<unsigned>(Victim)];
-            const double MyEstimate =
-                estimateFor(Me, V.Queue.back().Count);
-            if (D.Assigned + MyEstimate < V.Assigned) {
-              Sh = std::move(V.Queue.back());
-              V.Queue.pop_back();
-              V.QueuedEstimate -= Sh.EstimateSeconds;
-              V.Assigned -= Sh.EstimateSeconds;
-              Sh.EstimateSeconds = MyEstimate;
-              D.Assigned += MyEstimate;
-              Have = true;
-              ++D.Report.Steals;
-              ++Rep.Steals;
-              StealsC.add();
-            }
+      if (!D.Queue.empty()) {
+        Sh = std::move(D.Queue.front());
+        D.Queue.pop_front();
+        D.QueuedEstimate -= Sh.EstimateSeconds;
+        Have = true;
+      } else if (Dry) {
+        // Source dry and nothing local: steal the newest queued shard
+        // from the straggler with the latest modeled virtual finish —
+        // but only when the theft is profitable in modeled time, i.e.
+        // this device would finish the shard before the victim would
+        // have. Host idleness alone is not a reason to steal: on a
+        // serializing host every device looks idle in turn, and
+        // ungated steals would pile a concurrent fleet's work onto
+        // whichever thread the OS favors.
+        int Victim = -1;
+        double VictimFinish = 0.0;
+        for (unsigned J = 0; J < N; ++J)
+          if (J != Me && !S.Devices[J].Queue.empty() &&
+              (Victim < 0 || S.Devices[J].Assigned > VictimFinish)) {
+            Victim = static_cast<int>(J);
+            VictimFinish = S.Devices[J].Assigned;
+          }
+        if (Victim >= 0) {
+          Impl::DeviceState &V = S.Devices[static_cast<unsigned>(Victim)];
+          const double MyEstimate = estimateFor(Me, V.Queue.back().Count);
+          if (D.Assigned + MyEstimate < V.Assigned) {
+            Sh = std::move(V.Queue.back());
+            V.Queue.pop_back();
+            V.QueuedEstimate -= Sh.EstimateSeconds;
+            V.Assigned -= Sh.EstimateSeconds;
+            Sh.EstimateSeconds = MyEstimate;
+            D.Assigned += MyEstimate;
+            Have = true;
+            ++D.Report.Steals;
+            ++Rep.Steals;
+            StealsC.add();
           }
         }
       }
       if (Have) {
+        // Run unlocked, so other devices keep scheduling meanwhile.
         SpaceCv.notify_all(); // A queue slot freed; coordinator refills.
         Lk.unlock();
-        auto P = stageShard(Me, std::move(Sh));
-        Window.push_back(std::move(P));
+        ShardAttempt A = runShard(Me, std::move(Sh));
         Lk.lock();
-        continue; // Keep filling the window while work is queued.
-      }
-      if (!Window.empty()) {
-        // Nothing to stage (window full, queue empty, or no profitable
-        // steal): retire the oldest in-flight shard. The wait happens
-        // unlocked, so other devices keep scheduling while this one
-        // blocks on its pipeline.
-        PipelinedShard &Front = *Window.front();
-        Lk.unlock();
-        Front.Done.wait();
-        Lk.lock();
-        retireLocked(Me, Front);
-        Window.pop_front();
+        retireLocked(Me, A);
         continue;
       }
       if (Done)
@@ -713,25 +569,6 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
   M.gauge("psg.device.transfer_hidden_s").set(TransferHidden);
   M.gauge("psg.device.transfer_overlap")
       .set(TransferModeled > 0.0 ? TransferHidden / TransferModeled : 0.0);
-
-  // Measured counterpart of the modeled transfer gauges: real stage
-  // intervals timestamped on the streams themselves. Eager runtimes
-  // serialize the stages (overlap ~0); asynchronous runtimes hide the
-  // transfers behind neighbouring shards' compute.
-  for (unsigned D = 0; D < N; ++D) {
-    Rep.MeasuredTransferSeconds += S.Devices[D].Timeline.transferSeconds();
-    Rep.MeasuredHiddenTransferSeconds +=
-        S.Devices[D].Timeline.hiddenTransferSeconds();
-  }
-  Rep.MeasuredTransferOverlap =
-      Rep.MeasuredTransferSeconds > 0.0
-          ? Rep.MeasuredHiddenTransferSeconds / Rep.MeasuredTransferSeconds
-          : 0.0;
-  M.gauge("psg.device.transfer_wall_s").set(Rep.MeasuredTransferSeconds);
-  M.gauge("psg.device.transfer_hidden_wall_s")
-      .set(Rep.MeasuredHiddenTransferSeconds);
-  M.gauge("psg.device.transfer_overlap_measured")
-      .set(Rep.MeasuredTransferOverlap);
 
   Rep.Stream.HiddenPrepareSeconds = S.Model.hiddenPrepareSeconds(
       Rep.Stream.PrepareWallSeconds, Rep.ModeledMakespanSeconds);

@@ -80,17 +80,6 @@ struct ShardScheduleReport {
   /// (max - min) device modeled busy time over the max; 0 = perfectly
   /// balanced. Exported as the gauge `psg.sched.shard_imbalance`.
   double ShardImbalance = 0.0;
-  /// Measured wall seconds the transfer streams spent moving bytes
-  /// (upload + download stage intervals, timestamped on the streams
-  /// themselves), and the part that really overlapped compute-stream
-  /// execution. On an eager runtime nothing overlaps (the stages
-  /// serialize), so MeasuredTransferOverlap is ~0; an asynchronous
-  /// runtime hides most transfer time behind integration. Exported as
-  /// psg.device.transfer_wall_s / transfer_hidden_wall_s /
-  /// transfer_overlap_measured, next to the modeled transfer gauges.
-  double MeasuredTransferSeconds = 0.0;
-  double MeasuredHiddenTransferSeconds = 0.0;
-  double MeasuredTransferOverlap = 0.0;
 
   /// Modeled simulations per second of the concurrent fleet.
   double modeledThroughputPerSecond() const {

@@ -29,7 +29,6 @@
 
 namespace psg {
 
-class DeviceRuntime;
 struct SimulationOutcome;
 
 /// One batch of simulations over a common model and time window.
@@ -112,18 +111,12 @@ createAllSimulators(const CostModel &Model);
 /// Creates one simulator by name; fails on unknown names. \p HostWorkers
 /// caps the personality's host worker pool (0 = hardware concurrency) so
 /// several simulator instances can share a machine without
-/// oversubscribing it — the sharded scheduler's per-device pinning.
-///
-/// When \p Runtime is non-null the personality launches its kernels
-/// through that device runtime instead of constructing a private host
-/// runtime, so an engine-owned runtime (selected by --runtime) carries
-/// every launch of the run; HostWorkers is then ignored — the runtime
-/// already fixed its host pool. The CPU personalities take no runtime
-/// (their backend is the serial host) and ignore both.
+/// oversubscribing it — the sharded scheduler's per-device pinning. Each
+/// GPU personality owns the vgpu::VirtualDevice its kernels launch on;
+/// the CPU personalities run serially on the caller and ignore it.
 ErrorOr<std::unique_ptr<Simulator>>
 createSimulator(const std::string &Name, const CostModel &Model,
-                unsigned HostWorkers = 0,
-                std::shared_ptr<DeviceRuntime> Runtime = nullptr);
+                unsigned HostWorkers = 0);
 
 } // namespace psg
 

@@ -6,7 +6,6 @@
 
 #include "sim/Simulators.h"
 
-#include "device/HostRuntime.h"
 #include "linalg/Eigen.h"
 #include "sim/WorkProfile.h"
 #include "support/Metrics.h"
@@ -104,14 +103,6 @@ BatchResult finalizeBatch(const BatchSpec &Spec, const CostModel &Model,
   R.HostWallSeconds = WallSeconds;
   return R;
 }
-
-/// Private runtime for a personality constructed without one: the host
-/// runtime over the modeled GPU spec — exactly the VirtualDevice the
-/// pre-runtime simulators owned directly.
-std::shared_ptr<DeviceRuntime> makeOwnRuntime(const CostModel &Model,
-                                              unsigned HostWorkers) {
-  return std::make_shared<HostRuntime>(Model.gpu(), HostWorkers);
-}
 } // namespace
 
 Simulator::~Simulator() = default;
@@ -148,16 +139,8 @@ BatchResult CpuSolverSimulator::run(const BatchSpec &Spec) {
 
 SimdLaneSimulator::SimdLaneSimulator(CostModel M, unsigned LaneWidth,
                                      unsigned HostWorkers)
-    : Model(std::move(M)), Runtime(makeOwnRuntime(Model, HostWorkers)),
+    : Model(std::move(M)), Device(Model.gpu(), HostWorkers),
       LaneWidth(LaneWidth) {
-  assert(LaneWidth >= 1 && "need at least one lane");
-}
-
-SimdLaneSimulator::SimdLaneSimulator(CostModel M,
-                                     std::shared_ptr<DeviceRuntime> R,
-                                     unsigned LaneWidth)
-    : Model(std::move(M)), Runtime(std::move(R)), LaneWidth(LaneWidth) {
-  assert(Runtime && "runtime-handle constructor needs a runtime");
   assert(LaneWidth >= 1 && "need at least one lane");
 }
 
@@ -169,7 +152,7 @@ BatchResult SimdLaneSimulator::run(const BatchSpec &Spec) {
   const unsigned L = LaneWidth;
   const uint64_t Groups = (Spec.Batch + L - 1) / L;
   const std::vector<double> DefaultY0 = Spec.Model->initialState();
-  Workers.ensure(Runtime->hostParallelism());
+  Workers.ensure(Device.hostParallelism());
 
   MetricsRegistry &M = metrics();
   Counter &Replays = M.counter("psg.sim.lane_step_replays");
@@ -180,8 +163,7 @@ BatchResult SimdLaneSimulator::run(const BatchSpec &Spec) {
   // One virtual thread per lane group: deterministic grouping (lane l of
   // group g is simulation g*L + l), so reruns and warm/cold reruns see
   // identical lockstep cohorts.
-  Runtime->launchKernel({"simd-lane-batch", Groups, 32}, [&](KernelContext
-                                                                 &Ctx) {
+  Device.launchKernel("simd-lane-batch", Groups, 32, [&](KernelContext &Ctx) {
     const uint64_t G = Ctx.threadIndex();
     SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
     LaneBatchOdeSystem &Sys = Slot.laneSystem(Shared, L);
@@ -268,35 +250,26 @@ BatchResult SimdLaneSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 CoarseGpuSimulator::CoarseGpuSimulator(CostModel M, unsigned HostWorkers)
-    : Model(std::move(M)), Runtime(makeOwnRuntime(Model, HostWorkers)) {}
-
-CoarseGpuSimulator::CoarseGpuSimulator(CostModel M,
-                                       std::shared_ptr<DeviceRuntime> R)
-    : Model(std::move(M)), Runtime(std::move(R)) {
-  assert(Runtime && "runtime-handle constructor needs a runtime");
-}
+    : Model(std::move(M)), Device(Model.gpu(), HostWorkers) {}
 
 BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(Runtime->hostParallelism());
-  Runtime->launchKernel({"cupsoda-batch", Spec.Batch, 32},
-                        [&](KernelContext &Ctx) {
-                          const size_t I = Ctx.threadIndex();
-                          SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
-                          CompiledOdeSystem &Sys = Slot.bind(Shared);
-                          std::vector<double> Y =
-                              configureSimulation(Spec, Sys, I);
-                          // Build the outcome locally and publish it once:
-                          // neighbouring threads write adjacent Outcomes
-                          // slots, and incremental writes would ping-pong
-                          // the shared cache line.
-                          SimulationOutcome Local = runOne(
-                              Spec, Sys, Slot.solver("lsoda"), std::move(Y));
-                          Outcomes[I] = std::move(Local);
-                        });
+  Workers.ensure(Device.hostParallelism());
+  Device.launchKernel("cupsoda-batch", Spec.Batch, 32, [&](KernelContext &Ctx) {
+    const size_t I = Ctx.threadIndex();
+    SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
+    CompiledOdeSystem &Sys = Slot.bind(Shared);
+    std::vector<double> Y = configureSimulation(Spec, Sys, I);
+    // Build the outcome locally and publish it once: neighbouring threads
+    // write adjacent Outcomes slots, and incremental writes would
+    // ping-pong the shared cache line.
+    SimulationOutcome Local =
+        runOne(Spec, Sys, Slot.solver("lsoda"), std::move(Y));
+    Outcomes[I] = std::move(Local);
+  });
   return finalizeBatch(Spec, Model, Backend::GpuCoarse, *Shared,
                        std::move(Outcomes), Timer.seconds());
 }
@@ -306,25 +279,19 @@ BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 FineGpuSimulator::FineGpuSimulator(CostModel M, unsigned HostWorkers)
-    : Model(std::move(M)), Runtime(makeOwnRuntime(Model, HostWorkers)) {}
-
-FineGpuSimulator::FineGpuSimulator(CostModel M,
-                                   std::shared_ptr<DeviceRuntime> R)
-    : Model(std::move(M)), Runtime(std::move(R)) {
-  assert(Runtime && "runtime-handle constructor needs a runtime");
-}
+    : Model(std::move(M)), Device(Model.gpu(), HostWorkers) {}
 
 BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(Runtime->hostParallelism());
+  Workers.ensure(Device.hostParallelism());
   // Fine-grained tools process one simulation at a time; each simulation
   // runs as one kernel pipeline whose threads are the ODEs.
   for (uint64_t I = 0; I < Spec.Batch; ++I) {
-    Runtime->launchKernel(
-        {"lassie-sim", std::max<uint64_t>(Shared->NumSpecies, 1), 32},
+    Device.launchKernel(
+        "lassie-sim", std::max<uint64_t>(Shared->NumSpecies, 1), 32,
         [&](KernelContext &Ctx) {
           if (Ctx.threadIndex() != 0)
             return; // The numerics run once; threads model ODE lanes.
@@ -354,13 +321,7 @@ BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 FineCoarseSimulator::FineCoarseSimulator(CostModel M, unsigned HostWorkers)
-    : Model(std::move(M)), Runtime(makeOwnRuntime(Model, HostWorkers)) {}
-
-FineCoarseSimulator::FineCoarseSimulator(CostModel M,
-                                         std::shared_ptr<DeviceRuntime> R)
-    : Model(std::move(M)), Runtime(std::move(R)) {
-  assert(Runtime && "runtime-handle constructor needs a runtime");
-}
+    : Model(std::move(M)), Device(Model.gpu(), HostWorkers) {}
 
 BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
@@ -377,9 +338,9 @@ BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
   // one parent grid: the P2 routing heuristic, the explicit path, and the
   // implicit path with re-dispatch of failed explicit simulations.
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(Runtime->hostParallelism());
-  Runtime->launchKernel({"psg-engine-batch", Spec.Batch, 32},
-                        [&](KernelContext &Ctx) {
+  Workers.ensure(Device.hostParallelism());
+  Device.launchKernel("psg-engine-batch", Spec.Batch, 32,
+                      [&](KernelContext &Ctx) {
     const size_t I = Ctx.threadIndex();
     SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
     CompiledOdeSystem &Sys = Slot.bind(Shared);
@@ -448,42 +409,25 @@ psg::createAllSimulators(const CostModel &Model) {
 
 ErrorOr<std::unique_ptr<Simulator>>
 psg::createSimulator(const std::string &Name, const CostModel &Model,
-                     unsigned HostWorkers,
-                     std::shared_ptr<DeviceRuntime> Runtime) {
+                     unsigned HostWorkers) {
   if (Name == "cpu-lsoda")
     return std::unique_ptr<Simulator>(
         std::make_unique<CpuSolverSimulator>("lsoda", "cpu-lsoda", Model));
   if (Name == "cpu-vode")
     return std::unique_ptr<Simulator>(
         std::make_unique<CpuSolverSimulator>("vode", "cpu-vode", Model));
-  if (Name == "simd-lanes") {
-    if (Runtime)
-      return std::unique_ptr<Simulator>(std::make_unique<SimdLaneSimulator>(
-          Model, std::move(Runtime), /*LaneWidth=*/8));
+  if (Name == "simd-lanes")
     return std::unique_ptr<Simulator>(std::make_unique<SimdLaneSimulator>(
         Model, /*LaneWidth=*/8, HostWorkers));
-  }
-  if (Name == "gpu-coarse") {
-    if (Runtime)
-      return std::unique_ptr<Simulator>(
-          std::make_unique<CoarseGpuSimulator>(Model, std::move(Runtime)));
+  if (Name == "gpu-coarse")
     return std::unique_ptr<Simulator>(
         std::make_unique<CoarseGpuSimulator>(Model, HostWorkers));
-  }
-  if (Name == "gpu-fine") {
-    if (Runtime)
-      return std::unique_ptr<Simulator>(
-          std::make_unique<FineGpuSimulator>(Model, std::move(Runtime)));
+  if (Name == "gpu-fine")
     return std::unique_ptr<Simulator>(
         std::make_unique<FineGpuSimulator>(Model, HostWorkers));
-  }
-  if (Name == "psg-engine") {
-    if (Runtime)
-      return std::unique_ptr<Simulator>(
-          std::make_unique<FineCoarseSimulator>(Model, std::move(Runtime)));
+  if (Name == "psg-engine")
     return std::unique_ptr<Simulator>(
         std::make_unique<FineCoarseSimulator>(Model, HostWorkers));
-  }
   return ErrorOr<std::unique_ptr<Simulator>>::failure(
       "unknown simulator '" + Name + "'");
 }

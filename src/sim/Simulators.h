@@ -27,9 +27,9 @@
 #ifndef PSG_SIM_SIMULATORS_H
 #define PSG_SIM_SIMULATORS_H
 
-#include "device/DeviceRuntime.h"
 #include "sim/SimWorkspace.h"
 #include "sim/Simulator.h"
+#include "vgpu/VirtualDevice.h"
 
 namespace psg {
 
@@ -58,16 +58,11 @@ private:
 /// gpu-fine's BDF fallback.
 class SimdLaneSimulator : public Simulator {
 public:
-  /// \p HostWorkers caps the host pool backing the private host runtime
-  /// (0 = hardware concurrency); the sharded scheduler uses it to pin
-  /// each logical device to a slice of the machine.
+  /// \p HostWorkers caps the host pool backing the personality's virtual
+  /// device (0 = hardware concurrency); the sharded scheduler uses it to
+  /// pin each logical device to a slice of the machine.
   explicit SimdLaneSimulator(CostModel Model, unsigned LaneWidth = 8,
                              unsigned HostWorkers = 0);
-
-  /// Launches through a caller-owned \p Runtime (must be non-null)
-  /// instead of constructing a private host runtime.
-  SimdLaneSimulator(CostModel Model, std::shared_ptr<DeviceRuntime> Runtime,
-                    unsigned LaneWidth = 8);
 
   std::string name() const override { return "simd-lanes"; }
   Backend backend() const override { return Backend::CpuSimdLanes; }
@@ -77,7 +72,7 @@ public:
 
 private:
   CostModel Model;
-  std::shared_ptr<DeviceRuntime> Runtime;
+  VirtualDevice Device;
   SimWorkerPool Workers; ///< One reusable slot per host worker.
   unsigned LaneWidth;
 };
@@ -86,7 +81,6 @@ private:
 class CoarseGpuSimulator : public Simulator {
 public:
   explicit CoarseGpuSimulator(CostModel Model, unsigned HostWorkers = 0);
-  CoarseGpuSimulator(CostModel Model, std::shared_ptr<DeviceRuntime> Runtime);
 
   std::string name() const override { return "gpu-coarse"; }
   Backend backend() const override { return Backend::GpuCoarse; }
@@ -94,7 +88,7 @@ public:
 
 private:
   CostModel Model;
-  std::shared_ptr<DeviceRuntime> Runtime;
+  VirtualDevice Device;
   SimWorkerPool Workers; ///< One reusable slot per host worker.
 };
 
@@ -103,7 +97,6 @@ private:
 class FineGpuSimulator : public Simulator {
 public:
   explicit FineGpuSimulator(CostModel Model, unsigned HostWorkers = 0);
-  FineGpuSimulator(CostModel Model, std::shared_ptr<DeviceRuntime> Runtime);
 
   std::string name() const override { return "gpu-fine"; }
   Backend backend() const override { return Backend::GpuFine; }
@@ -111,7 +104,7 @@ public:
 
 private:
   CostModel Model;
-  std::shared_ptr<DeviceRuntime> Runtime;
+  VirtualDevice Device;
   SimWorkerPool Workers; ///< One reusable slot per host worker.
 };
 
@@ -121,7 +114,6 @@ private:
 class FineCoarseSimulator : public Simulator {
 public:
   explicit FineCoarseSimulator(CostModel Model, unsigned HostWorkers = 0);
-  FineCoarseSimulator(CostModel Model, std::shared_ptr<DeviceRuntime> Runtime);
 
   std::string name() const override { return "psg-engine"; }
   Backend backend() const override { return Backend::GpuFineCoarse; }
@@ -137,7 +129,7 @@ public:
 
 private:
   CostModel Model;
-  std::shared_ptr<DeviceRuntime> Runtime;
+  VirtualDevice Device;
   SimWorkerPool Workers; ///< One reusable slot per host worker.
 };
 

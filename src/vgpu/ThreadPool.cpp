@@ -125,7 +125,9 @@ void ThreadPool::parallelFor(size_t Count,
   M.gauge("psg.vgpu.pool.busy_s").add(BusySeconds);
   M.gauge("psg.vgpu.pool.wall_s").add(WallSeconds);
   if (WallSeconds > 0.0) {
-    const double Capacity = WallSeconds * numWorkers();
+    // Busy time sums every participant, the caller included, so the
+    // capacity it is measured against counts the caller too.
+    const double Capacity = WallSeconds * parallelism();
     M.gauge("psg.vgpu.pool.utilization")
         .set(std::min(1.0, BusySeconds / Capacity));
   }

@@ -11,6 +11,7 @@
 #include "analysis/Sobol.h"
 
 #include "rbm/CuratedModels.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -289,7 +290,7 @@ TEST(SobolTest, LinearModelIndicesMatchTheory) {
   ParameterSpace Space(Net);
   for (int A = 0; A < 2; ++A) {
     ParameterAxis Axis;
-    Axis.Name = "x" + std::to_string(A);
+    Axis.Name = formatString("x%d", A);
     Axis.Target = AxisTarget::InitialConcentration;
     Axis.SpeciesIndex = static_cast<unsigned>(A);
     Axis.Lo = 0.0;
@@ -321,7 +322,7 @@ TEST(SobolTest, DummyFactorHasNearZeroIndices) {
   ParameterSpace Space(Net);
   for (int A = 0; A < 2; ++A) {
     ParameterAxis Axis;
-    Axis.Name = "x" + std::to_string(A);
+    Axis.Name = formatString("x%d", A);
     Axis.Target = AxisTarget::InitialConcentration;
     Axis.SpeciesIndex = static_cast<unsigned>(A);
     Axis.Lo = 0.0;
@@ -494,7 +495,7 @@ TEST(SobolTest, SecondOrderDetectsInteractions) {
   ParameterSpace Space(Net);
   for (int A = 0; A < 3; ++A) {
     ParameterAxis Axis;
-    Axis.Name = "x" + std::to_string(A);
+    Axis.Name = formatString("x%d", A);
     Axis.Target = AxisTarget::InitialConcentration;
     Axis.SpeciesIndex = static_cast<unsigned>(A);
     Axis.Lo = 0.0;

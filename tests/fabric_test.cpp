@@ -30,8 +30,10 @@
 
 #include "rbm/CuratedModels.h"
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -44,7 +46,7 @@ namespace {
 
 ParameterAxis rateAxis(unsigned Reaction, double Lo, double Hi) {
   ParameterAxis Axis;
-  Axis.Name = "k" + std::to_string(Reaction);
+  Axis.Name = formatString("k%u", Reaction);
   Axis.Target = AxisTarget::RateConstant;
   Axis.Reactions = {Reaction};
   Axis.Lo = Lo;
@@ -134,8 +136,17 @@ DistributedRun runDistributed(const ReactionNetwork &Net,
                               FabricOptions Fab = {},
                               FaultScript Script = nullptr) {
   LoopbackFabric Fabric;
-  if (Script)
-    Fabric.setFaultScript(std::move(Script));
+  // Every worker's first frame is its Hello. Counting them lets the
+  // coordinator start only once all nodes have joined: a worker thread
+  // scheduled after a small sweep already finished would otherwise never
+  // be granted work or told goodbye, which the tests take for granted.
+  auto Hellos = std::make_shared<std::atomic<unsigned>>(0);
+  Fabric.setFaultScript(
+      [Hellos, Script = std::move(Script)](const FaultContext &C) {
+        if (C.Frame.Type == MessageType::Hello)
+          ++*Hellos;
+        return Script ? Script(C) : FaultAction();
+      });
   std::unique_ptr<FabricEndpoint> CoordEp =
       Fabric.createEndpoint(CoordinatorNode);
   std::vector<std::unique_ptr<FabricEndpoint>> WorkerEps;
@@ -164,6 +175,11 @@ DistributedRun runDistributed(const ReactionNetwork &Net,
                         /*HeartbeatIntervalSeconds=*/0.01);
       R.Workers[N] = Worker.serve(Net);
     });
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Hellos->load() < NumNodes &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   NodeCoordinator Coord(Opts, Fab);
   size_t Next = 0;

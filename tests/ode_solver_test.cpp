@@ -83,6 +83,13 @@ struct AccuracyCase {
   double Tolerance;
 };
 
+// Names each case "<solver>/<problem>" in test listings. Without it the
+// listing shows the raw bytes of the two string pointers, which change
+// with the load address on every run.
+static void PrintTo(const AccuracyCase &C, std::ostream *OS) {
+  *OS << C.Solver << '/' << C.Problem;
+}
+
 class AccuracyTest : public ::testing::TestWithParam<AccuracyCase> {};
 
 static TestProblem problemByName(const std::string &Name) {

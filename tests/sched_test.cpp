@@ -19,6 +19,7 @@
 #include "sim/Oracle.h"
 
 #include "rbm/CuratedModels.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <atomic>
@@ -34,7 +35,7 @@ namespace {
 
 ParameterAxis rateAxis(unsigned Reaction, double Lo, double Hi) {
   ParameterAxis Axis;
-  Axis.Name = "k" + std::to_string(Reaction);
+  Axis.Name = formatString("k%u", Reaction);
   Axis.Target = AxisTarget::RateConstant;
   Axis.Reactions = {Reaction};
   Axis.Lo = Lo;
@@ -422,6 +423,41 @@ TEST(ShardedExecutorTest, SchedMetricsAreExported) {
                    Report.ShardImbalance);
   EXPECT_DOUBLE_EQ(M.gaugeValue("psg.sched.modeled_makespan_s"),
                    Report.ModeledMakespanSeconds);
+}
+
+TEST(ShardedExecutorTest, ModeledTransferPricesThePackedShardImage) {
+  // Each shard moves its rate constants and initial states to the device
+  // and one final time per simulation back, priced at the modeled PCIe
+  // bandwidth. Shards retire in varying order, so the per-shard sum is
+  // pinned to a relative tolerance rather than bit-exactly.
+  ReactionNetwork Net = makeBrusselatorNetwork();
+  ParameterSpace Space(Net);
+  Space.addAxis(rateAxis(0, 0.5, 3.0));
+  const size_t Points = 20;
+  const std::vector<Parameterization> Sweep = makeSweep(Space, Points);
+
+  EngineOptions Opts = shardedEngineOptions(2, "psg-engine", 8);
+  const CostModel Model = CostModel::paperSetup();
+  ShardedExecutor Executor(Model, Opts, Opts.Sched);
+  size_t Next = 0;
+  ParameterizationSource Source = sourceOver(Sweep, Next);
+  IndexedSink Sink(Points);
+  const ShardScheduleReport Report =
+      Executor.streamParameterizations(Net, nullptr, Source, Sink);
+  ASSERT_EQ(Report.LostSimulations, 0u);
+
+  double Doubles = 0.0;
+  for (const Parameterization &P : Sweep)
+    Doubles += static_cast<double>(P.RateConstants.size() +
+                                   P.InitialState.size() + 1);
+  const double Expected =
+      Doubles * sizeof(double) / (Model.tunables().PcieBandwidthGBs * 1e9);
+  const MetricsSnapshot &M = Report.Stream.Metrics;
+  const double Modeled = M.gaugeValue("psg.device.transfer_modeled_s");
+  const double Hidden = M.gaugeValue("psg.device.transfer_hidden_s");
+  EXPECT_NEAR(Modeled, Expected, 1e-12 * Expected);
+  EXPECT_GT(Hidden, 0.0);
+  EXPECT_LE(Hidden, Modeled);
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "device/HostRuntime.h"
+#include "support/Metrics.h"
 #include "vgpu/CostModel.h"
 #include "vgpu/DeviceSpec.h"
 #include "vgpu/ThreadPool.h"
@@ -13,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <numeric>
+#include <thread>
 
 using namespace psg;
 
@@ -136,6 +139,17 @@ TEST(ThreadPoolTest, ParallelismCountsCallerThread) {
   EXPECT_EQ(Pool.parallelism(), Pool.numWorkers() + 1);
 }
 
+TEST(ThreadPoolTest, UtilizationCountsTheCallerAsCapacity) {
+  // One busy participant out of two (the worker plus the caller) uses
+  // half the pool, not all of it.
+  ThreadPool Pool(1);
+  Pool.parallelFor(1, [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  EXPECT_LT(metrics().snapshot().gaugeValue("psg.vgpu.pool.utilization"),
+            0.75);
+}
+
 //===----------------------------------------------------------------------===//
 // Virtual device accounting.
 //===----------------------------------------------------------------------===//
@@ -170,9 +184,47 @@ TEST(VirtualDeviceTest, ChildGridsAreCounted) {
   EXPECT_EQ(Dev.counters().ChildGridLaunches, 8u);
 }
 
+TEST(VirtualDeviceTest, EveryLogicalThreadRunsOnce) {
+  VirtualDevice Dev(DeviceSpec::titanX(), 3);
+  const uint64_t N = 777;
+  std::vector<std::atomic<int>> Hits(N);
+  Dev.launchKernel("coverage", N, 32, [&](KernelContext &Ctx) {
+    ++Hits[Ctx.threadIndex()];
+    EXPECT_LT(Ctx.workerIndex(), Dev.hostParallelism());
+    EXPECT_EQ(Ctx.gridSize(), N);
+  });
+  for (uint64_t I = 0; I < N; ++I)
+    EXPECT_EQ(Hits[I].load(), 1) << I;
+}
+
+TEST(VirtualDeviceTest, ResultsIndependentOfWorkerCount) {
+  // The same kernel over the same inputs yields identical bytes whatever
+  // the number of host workers multiplexing its logical threads.
+  const size_t N = 512;
+  std::vector<double> Input(N);
+  for (size_t I = 0; I < N; ++I)
+    Input[I] = std::sin(static_cast<double>(I) * 0.01) + 1e-3;
+
+  auto RunWith = [&](unsigned Workers) {
+    VirtualDevice Dev(DeviceSpec::titanX(), Workers);
+    std::vector<double> Data = Input;
+    Dev.launchKernel("stiff-ish", N, 32, [&Data](KernelContext &Ctx) {
+      double X = Data[Ctx.threadIndex()];
+      for (int Step = 0; Step < 50; ++Step)
+        X = X + 0.01 * (1.0 - X * X); // logistic-style update
+      Data[Ctx.threadIndex()] = X;
+    });
+    return Data;
+  };
+
+  std::vector<double> One = RunWith(1);
+  std::vector<double> Four = RunWith(4);
+  EXPECT_EQ(std::memcmp(One.data(), Four.data(), N * sizeof(double)), 0);
+}
+
 //===----------------------------------------------------------------------===//
-// Host-runtime conformance: the same contracts through the DeviceRuntime
-// interface. The full backend-agnostic suite lives in
+// Host-runtime conformance: the same contracts through the off-path
+// DeviceRuntime interface. The full suite lives in
 // device_runtime_test.cpp; these cases pin the HostRuntime ↔
 // VirtualDevice equivalences specifically.
 //===----------------------------------------------------------------------===//

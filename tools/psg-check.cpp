@@ -51,7 +51,7 @@ struct Options {
         if (I + 1 < Argc && std::string(Argv[I + 1]).rfind("--", 0) != 0)
           O.Values[Key] = Argv[++I];
         else
-          O.Values[Key] = "1";
+          O.Values[Key].assign(1, '1');
       } else {
         O.Positional.push_back(Arg);
       }

@@ -21,7 +21,6 @@
 #include "analysis/SteadyState.h"
 #include "analysis/StreamReducers.h"
 #include "core/BatchEngine.h"
-#include "device/DeviceRuntime.h"
 #include "fabric/NodeWorker.h"
 #include "fabric/TcpFabric.h"
 #include "io/ResultsIo.h"
@@ -36,6 +35,7 @@
 #include "support/StringUtils.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -48,9 +48,6 @@ namespace {
 struct Options {
   std::vector<std::string> Positional;
   std::map<std::string, std::string> Values;
-  /// Times each flag appeared; validation rejects conflicting repeats
-  /// (parse itself keeps the last value).
-  std::map<std::string, unsigned> Occurrences;
 
   static Options parse(int Argc, char **Argv, int Begin) {
     Options O;
@@ -58,11 +55,10 @@ struct Options {
       std::string Arg = Argv[I];
       if (Arg.rfind("--", 0) == 0) {
         const std::string Key = Arg.substr(2);
-        ++O.Occurrences[Key];
         if (I + 1 < Argc && std::string(Argv[I + 1]).rfind("--", 0) != 0)
           O.Values[Key] = Argv[++I];
         else
-          O.Values[Key] = "1";
+          O.Values[Key].assign(1, '1');
       } else {
         O.Positional.push_back(Arg);
       }
@@ -89,10 +85,6 @@ struct Options {
     return V;
   }
   bool has(const std::string &Key) const { return Values.count(Key) > 0; }
-  unsigned occurrences(const std::string &Key) const {
-    auto It = Occurrences.find(Key);
-    return It == Occurrences.end() ? 0 : It->second;
-  }
 };
 
 /// Prints a clean option-validation error and returns the usage exit
@@ -178,37 +170,6 @@ Status applySchedOptions(const Options &O, EngineOptions &Opts) {
   }
   if (O.has("shard-chunk"))
     Opts.Sched.ChunkSize = O.getUnsigned("shard-chunk", 0);
-  return Status::success();
-}
-
-/// Parses and validates --runtime for the commands that construct a
-/// BatchEngine: rejects repeats, unknown names, and backends this build
-/// cannot actually provide — all before engine construction.
-Status applyRuntimeOption(const Options &O, EngineOptions &Opts) {
-  if (O.occurrences("runtime") > 1)
-    return Status::failure("--runtime given more than once (pass a single "
-                           "runtime: host, host-async, cuda)");
-  if (O.has("pool-bytes"))
-    Opts.PoolMaxCachedBytes = O.getUnsigned("pool-bytes", 0);
-  if (!O.has("runtime"))
-    return Status::success();
-  const std::string Name = O.get("runtime", "host");
-  auto KindOrErr = parseRuntimeKind(Name);
-  if (!KindOrErr)
-    return KindOrErr.status();
-  if (*KindOrErr == RuntimeKind::Cuda) {
-    if (!cudaRuntimeCompiledIn())
-      return Status::failure(
-          "runtime 'cuda' is not available in this build (rebuild with "
-          "-DPSG_WITH_CUDA=ON)");
-    // Probe construction now: a missing driver/device should surface as
-    // a clean CLI error, not an engine-construction abort mid-run.
-    auto Probe =
-        createDeviceRuntime(*KindOrErr, CostModel::paperSetup().gpu());
-    if (!Probe)
-      return Probe.status();
-  }
-  Opts.Runtime = Name;
   return Status::success();
 }
 
@@ -316,16 +277,14 @@ int usage() {
       "      and the initial-Jacobian stiffness estimate\n"
       "  simulate <model> [--tend T] [--samples K] [--batch B]\n"
       "           [--perturb] [--seed S] [--simulator NAME] [--out F.csv]\n"
-      "           [--runtime host|host-async|cuda] [--devices N|LIST] "
-      "[--shard-chunk C]\n"
+      "           [--devices N|LIST] [--shard-chunk C]\n"
       "      run a (optionally perturbed) batch; writes the first\n"
       "      trajectory as CSV and prints the engine report\n"
       "  psa1d <model> --species NAME | --reaction IDX\n"
       "        --lo X --hi Y [--log] [--points P]\n"
       "        [--reporter NAME] [--tend T] [--out F.csv]\n"
       "        [--stream] [--inflight N] [--sub-batch B]\n"
-      "        [--runtime host|host-async|cuda] [--devices N|LIST] "
-      "[--shard-chunk C]\n"
+      "        [--devices N|LIST] [--shard-chunk C]\n"
       "      sweep one parameter; reports the reporter's final value.\n"
       "      --stream drives the bounded-memory pipeline explicitly:\n"
       "      points are generated lazily, each sub-batch is reduced\n"
@@ -333,8 +292,7 @@ int usage() {
       "      and at most --inflight sub-batches of outcomes are ever\n"
       "      resident; prints overlap ratio and peak residency\n"
       "  worker <model> --connect HOST:PORT [--simulator NAME]\n"
-      "         [--runtime host|host-async|cuda] [--devices N|LIST]\n"
-      "         [--shard-chunk C] [--heartbeat S]\n"
+      "         [--devices N|LIST] [--shard-chunk C] [--heartbeat S]\n"
       "      serve shard grants from a remote coordinator: runs each\n"
       "      grant through a local multi-device executor and streams\n"
       "      the outcomes back until the coordinator says goodbye\n"
@@ -344,17 +302,6 @@ int usage() {
       "      emit a synthetic mass-action model\n"
       "  convert <in> <out>\n"
       "      convert between the text format and the SBML subset\n"
-      "\n"
-      "device runtime (simulate, psa1d, worker):\n"
-      "  --runtime NAME          execution backend for the simulator's\n"
-      "                          kernels: host (the eager modeled\n"
-      "                          device, default), host-async (worker-\n"
-      "                          thread streams, real overlap, pooled\n"
-      "                          buffers), or cuda (needs a\n"
-      "                          PSG_WITH_CUDA build and a working GPU)\n"
-      "  --pool-bytes B          cap on bytes the async runtime's buffer\n"
-      "                          pool keeps cached (0 disables pooling;\n"
-      "                          default 64 MiB)\n"
       "\n"
       "multi-device sharding (simulate, psa1d):\n"
       "  --devices N             shard the sweep across N logical devices\n"
@@ -373,7 +320,8 @@ int usage() {
       "                          chunk x node device count)\n"
       "  --accept-timeout S      worker admission deadline (default 120)\n"
       "\n"
-      "global options (any command):\n"
+      "global options (any command; every other flag must belong to\n"
+      "the command, or psg-cli exits 2):\n"
       "  --metrics-json F.json   write the process metrics snapshot\n"
       "                          (psg-metrics-v1: solver step counters,\n"
       "                          sub-batch timings, vgpu launch counts)\n"
@@ -456,8 +404,6 @@ int cmdSimulate(const Options &O) {
   Opts.EndTime = O.getDouble("tend", 10.0);
   Opts.OutputSamples = O.getUnsigned("samples", 101);
   if (Status S = applySchedOptions(O, Opts); !S)
-    return cliError(S.message());
-  if (Status S = applyRuntimeOption(O, Opts); !S)
     return cliError(S.message());
   FabricSession Fab = applyFabricOptions(O, Opts);
   BatchEngine Engine(CostModel::paperSetup(), Opts);
@@ -545,8 +491,6 @@ int cmdPsa1d(const Options &O) {
   if (O.has("sub-batch"))
     Opts.SubBatchSize = O.getUnsigned("sub-batch", 64);
   if (Status S = applySchedOptions(O, Opts); !S)
-    return cliError(S.message());
-  if (Status S = applyRuntimeOption(O, Opts); !S)
     return cliError(S.message());
   FabricSession Fab = applyFabricOptions(O, Opts);
   BatchEngine Engine(CostModel::paperSetup(), Opts);
@@ -639,8 +583,6 @@ int cmdWorker(const Options &O) {
   Probe.SimulatorName = O.get("simulator", "psg-engine");
   if (Status S = applySchedOptions(O, Probe); !S)
     return cliError(S.message());
-  if (Status S = applyRuntimeOption(O, Probe); !S)
-    return cliError(S.message());
   SchedOptions Local = Probe.Sched;
   if (Local.Devices.empty())
     Local.Devices = {Probe.SimulatorName};
@@ -654,7 +596,7 @@ int cmdWorker(const Options &O) {
                Connect.c_str());
 
   NodeWorker Worker(CostModel::paperSetup(), **Endpoint, Local,
-                    O.getDouble("heartbeat", 0.05), Probe.Runtime);
+                    O.getDouble("heartbeat", 0.05));
   WorkerReport R = Worker.serve(Net);
   std::printf("worker done:        %llu grants, %llu simulations, %llu "
               "heartbeats, modeled %.4g s busy (%s)\n",
@@ -720,6 +662,27 @@ int cmdConvert(const Options &O) {
   return 0;
 }
 
+/// The flags \p Command takes besides the global --metrics-json and
+/// --trace-json, space-separated; null for an unknown command.
+const char *commandFlags(const std::string &Command) {
+  if (Command == "info" || Command == "convert")
+    return "";
+  if (Command == "simulate")
+    return "tend samples batch perturb seed simulator out devices "
+           "shard-chunk coordinator nodes grant-size accept-timeout";
+  if (Command == "psa1d")
+    return "species reaction lo hi log points reporter simulator tend "
+           "samples out stream inflight sub-batch devices shard-chunk "
+           "coordinator nodes grant-size accept-timeout";
+  if (Command == "worker")
+    return "connect connect-timeout simulator devices shard-chunk heartbeat";
+  if (Command == "steady")
+    return "maxtime timescale";
+  if (Command == "generate")
+    return "species reactions seed out";
+  return nullptr;
+}
+
 int runCommand(const std::string &Command, const Options &O) {
   if (Command == "info")
     return cmdInfo(O);
@@ -744,6 +707,14 @@ int main(int Argc, char **Argv) {
     return usage();
   const std::string Command = Argv[1];
   Options O = Options::parse(Argc, Argv, 2);
+  const char *Flags = commandFlags(Command);
+  if (!Flags)
+    return usage();
+  const std::vector<std::string> Known =
+      splitWhitespace(std::string(Flags) + " metrics-json trace-json");
+  for (const auto &[Key, Value] : O.Values)
+    if (std::find(Known.begin(), Known.end(), Key) == Known.end())
+      return cliError("unknown option --" + Key);
 
   const std::string MetricsPath = O.get("metrics-json", "");
   const std::string TracePath = O.get("trace-json", "");
