@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The arithmetic primitives shared by every compiled kinetics kernel:
-/// the scalar and lane-batched integer power, and the saturating-factor
-/// evaluations (Michaelis-Menten, Hill activation, Hill repression) with
-/// their derivatives. Scalar kernels (rbm/MassAction.cpp), lane-batched
-/// kernels (rbm/LaneBatchOdeSystem.cpp), and the reference evaluators all
-/// include this header so a rate factor is computed by exactly one
-/// definition — the bit-exactness contracts between them reduce to "same
-/// inputs through the same inline function".
+/// the integer power and the saturating-factor evaluations
+/// (Michaelis-Menten, Hill activation, Hill repression) with their
+/// derivatives. The compiled kernels (rbm/MassAction.cpp) and the
+/// reference evaluators both include this header so a rate factor is
+/// computed by exactly one definition — the bit-exactness contract
+/// between them reduces to "same inputs through the same inline
+/// function".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,26 +54,6 @@ inline double ipow(double X, unsigned E) {
       return R;
     B *= B;
   }
-}
-
-/// Lane-batched ipow: Out[l] = ipow(X[l], E) for Width lanes, with the
-/// exact arithmetic of the scalar ipow per lane (the exponent is shared
-/// model structure, so every lane takes the same path and the loops
-/// autovectorize).
-template <unsigned Width>
-inline void ipowLanes(const double *__restrict X, unsigned E,
-                      double *__restrict Out) {
-  if (E <= IpowLinearMax) {
-    for (unsigned Ln = 0; Ln < Width; ++Ln) {
-      double R = 1.0;
-      for (unsigned I = 0; I < E; ++I)
-        R *= X[Ln];
-      Out[Ln] = R;
-    }
-    return;
-  }
-  for (unsigned Ln = 0; Ln < Width; ++Ln)
-    Out[Ln] = ipow(X[Ln], E);
 }
 
 /// S^n for the Hill factors: the integer fast path when the exponent is a

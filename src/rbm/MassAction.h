@@ -75,8 +75,7 @@ public:
     double KnPow;
     /// HillN when it is a small whole number (the overwhelmingly common
     /// case for Hill coefficients), else -1. Lets the saturating-factor
-    /// evaluations replace std::pow with repeated multiplication — which
-    /// also keeps the lane-batched inner loops vectorizable.
+    /// evaluations replace std::pow with repeated multiplication.
     int HillNInt;
   };
 

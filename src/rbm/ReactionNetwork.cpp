@@ -8,6 +8,8 @@
 
 #include "support/StringUtils.h"
 
+#include <cmath>
+
 using namespace psg;
 
 unsigned ReactionNetwork::addSpecies(const std::string &Name,
@@ -64,14 +66,24 @@ Status ReactionNetwork::validate() const {
     return Status::failure("model has no species");
   if (Reactions.empty())
     return Status::failure("model has no reactions");
+  // NaN passes every ordered comparison below, so each value is first
+  // checked for finiteness.
   for (size_t I = 0; I < SpeciesList.size(); ++I) {
-    if (SpeciesList[I].InitialConcentration < 0)
+    const double Initial = SpeciesList[I].InitialConcentration;
+    if (!std::isfinite(Initial))
+      return Status::failure(
+          formatString("species '%s' has non-finite initial concentration %g",
+                       SpeciesList[I].Name.c_str(), Initial));
+    if (Initial < 0)
       return Status::failure(
           formatString("species '%s' has negative initial concentration",
                        SpeciesList[I].Name.c_str()));
   }
   for (size_t R = 0; R < Reactions.size(); ++R) {
     const Reaction &Rx = Reactions[R];
+    if (!std::isfinite(Rx.RateConstant))
+      return Status::failure(formatString(
+          "reaction %zu has non-finite rate constant %g", R, Rx.RateConstant));
     if (Rx.RateConstant < 0)
       return Status::failure(
           formatString("reaction %zu has negative rate constant", R));
@@ -87,18 +99,20 @@ Status ReactionNetwork::validate() const {
       if (Rx.Reactants.empty())
         return Status::failure(formatString(
             "Michaelis-Menten reaction %zu needs a substrate", R));
-      if (Rx.Km <= 0)
-        return Status::failure(
-            formatString("reaction %zu needs a positive Km", R));
+      if (!std::isfinite(Rx.Km) || Rx.Km <= 0)
+        return Status::failure(formatString(
+            "reaction %zu needs a positive finite Km, got %g", R, Rx.Km));
     }
     if (Rx.Kind == KineticsKind::Hill ||
         Rx.Kind == KineticsKind::HillRepression) {
       if (Rx.Reactants.empty())
         return Status::failure(
             formatString("Hill reaction %zu needs a substrate", R));
-      if (Rx.HillK <= 0 || Rx.HillN <= 0)
-        return Status::failure(
-            formatString("reaction %zu needs positive Hill K and n", R));
+      if (!std::isfinite(Rx.HillK) || !std::isfinite(Rx.HillN) ||
+          Rx.HillK <= 0 || Rx.HillN <= 0)
+        return Status::failure(formatString(
+            "reaction %zu needs positive finite Hill K and n, got %g and %g",
+            R, Rx.HillK, Rx.HillN));
     }
   }
   return Status::success();

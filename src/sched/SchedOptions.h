@@ -36,7 +36,7 @@ using ShardFaultInjector =
 /// streaming) while Devices is empty.
 struct SchedOptions {
   /// One simulator personality name per logical device, e.g.
-  /// {"gpu-coarse", "gpu-coarse", "simd-lanes", "psg-engine"}. Each entry
+  /// {"gpu-coarse", "gpu-coarse", "gpu-fine", "psg-engine"}. Each entry
   /// becomes an independent device: its own simulator instance, host
   /// worker slice, work queue, and metrics.
   std::vector<std::string> Devices;
@@ -45,11 +45,9 @@ struct SchedOptions {
   /// Homogeneous fleets use exactly this chunk on every device, so a
   /// sharded sweep cuts the stream at the same boundaries as a
   /// single-device run with SubBatchSize == ChunkSize — the property the
-  /// bit-exact oracle tests rely on (lane-batched personalities group
-  /// lanes within a shard, so identical boundaries mean identical
-  /// cohorts). Heterogeneous fleets scale the chunk per device by the
-  /// cost model's relative throughput and align it to the SIMD lane
-  /// width.
+  /// bit-exact oracle tests rely on. Heterogeneous fleets scale the chunk
+  /// per device by the cost model's relative throughput and round it up
+  /// to a multiple of 8, clamped to [8, base chunk].
   uint64_t ChunkSize = 0;
 
   /// Shards staged ahead per device. Bounds scheduler-resident

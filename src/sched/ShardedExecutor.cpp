@@ -15,9 +15,9 @@
 //    outcomes when some attempt of its shard completes, or as Aborted
 //    failures when the shard exhausts MaxShardAttempts.
 //  * A homogeneous fleet is bit-exact against a single-device run whose
-//    SubBatchSize equals the shard chunk: identical shard boundaries
-//    mean identical lockstep cohorts (simd-lanes) and every personality
-//    is warm/cold dispatch-invariant (psg::check property).
+//    SubBatchSize equals the shard chunk: the shards are that run's
+//    sub-batches, and every personality is warm/cold dispatch-invariant
+//    (psg::check property).
 //  * Work-stealing only moves *queued* shards, never running ones, so a
 //    steal can't duplicate outcomes.
 //
@@ -164,8 +164,9 @@ struct ShardedExecutor::Impl {
         D.Chunk = Base;
       } else {
         // Scale by relative throughput so every device's shard takes
-        // about the same modeled time, aligned to the SIMD lane width
-        // so lane-batched personalities keep full lockstep groups.
+        // about the same modeled time, rounded up to a multiple of 8
+        // and clamped to [8, Base]. The rounding fixes mixed fleets'
+        // shard boundaries and modeled makespans.
         uint64_t C = static_cast<uint64_t>(
             static_cast<double>(Base) * D.Weight / MaxWeight + 0.5);
         C = (C + 7) / 8 * 8;

@@ -105,8 +105,9 @@ public:
 
   unsigned numDevices() const;
   /// The shard chunk (simulations) device \p Device is fed: the base
-  /// chunk scaled by the cost model's relative throughput estimate,
-  /// aligned to the SIMD lane width on heterogeneous fleets.
+  /// chunk, or on heterogeneous fleets the base chunk scaled by the cost
+  /// model's relative throughput estimate and rounded up to a multiple
+  /// of 8.
   uint64_t chunkFor(unsigned Device) const;
 
   /// Streams parameterizations pulled from \p Source across the fleet

@@ -29,23 +29,6 @@ OdeSolver &SimWorkerSlot::solver(const std::string &Name) {
   return *Slot;
 }
 
-LaneBatchOdeSystem &
-SimWorkerSlot::laneSystem(const std::shared_ptr<const CompiledModel> &Model,
-                          unsigned Lanes) {
-  if (!LaneSys || LaneSys->lanes() != Lanes)
-    LaneSys.emplace(Model, Lanes);
-  else if (&LaneSys->model() != Model.get())
-    LaneSys->rebind(Model);
-  return *LaneSys;
-}
-
-LockstepDriver &SimWorkerSlot::lockstep(LockstepTableau Tableau) {
-  std::unique_ptr<LockstepDriver> &Slot = Locksteps[Tableau];
-  if (!Slot)
-    Slot = std::make_unique<LockstepDriver>(Tableau);
-  return *Slot;
-}
-
 void SimWorkerPool::ensure(size_t Workers) {
   while (Slots.size() < Workers)
     Slots.push_back(std::make_unique<SimWorkerSlot>());

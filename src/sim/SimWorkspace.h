@@ -18,9 +18,7 @@
 #ifndef PSG_SIM_SIMWORKSPACE_H
 #define PSG_SIM_SIMWORKSPACE_H
 
-#include "ode/LockstepDriver.h"
 #include "ode/OdeSolver.h"
-#include "rbm/LaneBatchOdeSystem.h"
 #include "rbm/MassAction.h"
 
 #include <map>
@@ -43,22 +41,9 @@ public:
   /// creating it on first use. The name must be a registry built-in.
   OdeSolver &solver(const std::string &Name);
 
-  /// Returns the lane-batched view bound to \p Model with \p Lanes lanes,
-  /// constructing or rebinding as needed (same reuse discipline as
-  /// bind()). Used by the simd-lanes personality.
-  LaneBatchOdeSystem &
-  laneSystem(const std::shared_ptr<const CompiledModel> &Model,
-             unsigned Lanes);
-
-  /// This slot's lockstep driver for \p Tableau, created on first use;
-  /// the driver's workspace persists across lane groups and run() calls.
-  LockstepDriver &lockstep(LockstepTableau Tableau);
-
 private:
   std::optional<CompiledOdeSystem> Sys;
   std::map<std::string, std::unique_ptr<OdeSolver>> Solvers;
-  std::optional<LaneBatchOdeSystem> LaneSys;
-  std::map<LockstepTableau, std::unique_ptr<LockstepDriver>> Locksteps;
 };
 
 /// A pool of worker slots indexed by host worker index (see

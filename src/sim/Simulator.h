@@ -102,13 +102,21 @@ public:
   virtual BatchResult run(const BatchSpec &Spec) = 0;
 };
 
-/// Creates every comparator: cpu-lsoda, cpu-vode, simd-lanes (lockstep
-/// SIMD lane batching), gpu-coarse (cupSODA-like), gpu-fine
-/// (LASSIE-like), and the psg fine+coarse engine.
+/// The personality names, in the order of the evaluation's comparison
+/// maps: cpu-lsoda, cpu-vode, gpu-coarse (cupSODA-like), gpu-fine
+/// (LASSIE-like), and psg-engine, the fine+coarse engine.
+std::vector<std::string> simulatorNames();
+
+/// Succeeds when \p Name is one of simulatorNames(); the failure lists
+/// the known names.
+Status checkSimulatorName(const std::string &Name);
+
+/// Creates one simulator per simulatorNames() entry, in that order.
 std::vector<std::unique_ptr<Simulator>>
 createAllSimulators(const CostModel &Model);
 
-/// Creates one simulator by name; fails on unknown names. \p HostWorkers
+/// Creates one simulator by name; fails on unknown names with
+/// checkSimulatorName's message. \p HostWorkers
 /// caps the personality's host worker pool (0 = hardware concurrency) so
 /// several simulator instances can share a machine without
 /// oversubscribing it — the sharded scheduler's per-device pinning. Each

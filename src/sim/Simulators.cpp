@@ -12,7 +12,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 
 using namespace psg;
 
@@ -130,118 +129,6 @@ BatchResult CpuSolverSimulator::run(const BatchSpec &Spec) {
     Outcomes[I] = runOne(Spec, Sys, Solver, std::move(Y));
   }
   return finalizeBatch(Spec, Model, Backend::CpuSerial, *Shared,
-                       std::move(Outcomes), Timer.seconds());
-}
-
-//===----------------------------------------------------------------------===//
-// Lane-batched CPU (lockstep SIMD lanes).
-//===----------------------------------------------------------------------===//
-
-SimdLaneSimulator::SimdLaneSimulator(CostModel M, unsigned LaneWidth,
-                                     unsigned HostWorkers)
-    : Model(std::move(M)), Device(Model.gpu(), HostWorkers),
-      LaneWidth(LaneWidth) {
-  assert(LaneWidth >= 1 && "need at least one lane");
-}
-
-BatchResult SimdLaneSimulator::run(const BatchSpec &Spec) {
-  assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
-  WallTimer Timer;
-  std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
-  std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  const unsigned L = LaneWidth;
-  const uint64_t Groups = (Spec.Batch + L - 1) / L;
-  const std::vector<double> DefaultY0 = Spec.Model->initialState();
-  Workers.ensure(Device.hostParallelism());
-
-  MetricsRegistry &M = metrics();
-  Counter &Replays = M.counter("psg.sim.lane_step_replays");
-  Counter &Fallbacks = M.counter("psg.sim.lane_fallbacks");
-  Gauge &Occupancy = M.gauge("psg.sim.lane_occupancy");
-  std::atomic<uint64_t> ActiveSteps{0}, SlotSteps{0};
-
-  // One virtual thread per lane group: deterministic grouping (lane l of
-  // group g is simulation g*L + l), so reruns and warm/cold reruns see
-  // identical lockstep cohorts.
-  Device.launchKernel("simd-lane-batch", Groups, 32, [&](KernelContext &Ctx) {
-    const uint64_t G = Ctx.threadIndex();
-    SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
-    LaneBatchOdeSystem &Sys = Slot.laneSystem(Shared, L);
-    LockstepDriver &Driver = Slot.lockstep(LockstepTableau::Dopri5);
-    const size_t N = Sys.dimension();
-    const uint64_t First = G * L;
-    const unsigned Count =
-        static_cast<unsigned>(std::min<uint64_t>(L, Spec.Batch - First));
-
-    // Scatter each lane's parameterization and initial state into SoA.
-    // Ragged final groups pad with inactive copies of lane 0 so every
-    // lane computes finite arithmetic.
-    LaneBuffer Y(N * L);
-    std::vector<bool> Active(L, false);
-    std::vector<std::optional<TrajectoryRecorder>> Recorders(L);
-    std::vector<StepObserver *> Obs(L, nullptr);
-    for (unsigned Ln = 0; Ln < L; ++Ln) {
-      const uint64_t I = First + std::min<unsigned>(Ln, Count - 1);
-      if (I < Spec.RateConstantSets.size())
-        Sys.setLaneRateConstants(Ln, Spec.RateConstantSets[I].data(),
-                                 Spec.RateConstantSets[I].size());
-      else
-        Sys.resetLaneRateConstants(Ln);
-      const std::vector<double> &Y0 =
-          I < Spec.InitialStates.size() ? Spec.InitialStates[I] : DefaultY0;
-      for (size_t S = 0; S < N; ++S)
-        Y[S * L + Ln] = Y0[S];
-      if (Ln < Count) {
-        Active[Ln] = true;
-        if (Spec.OutputSamples > 0) {
-          Recorders[Ln].emplace(
-              uniformGrid(Spec.StartTime, Spec.EndTime, Spec.OutputSamples),
-              N);
-          Recorders[Ln]->recordInitial(Spec.StartTime, Y0.data());
-          Obs[Ln] = &*Recorders[Ln];
-        }
-      }
-    }
-
-    LaneIntegrationReport Report = Driver.integrate(
-        Sys, Spec.StartTime, Spec.EndTime, Y.data(), Spec.Options, Active,
-        Spec.OutputSamples > 0 ? Obs.data() : nullptr);
-    ActiveSteps.fetch_add(Report.ActiveLaneSteps,
-                          std::memory_order_relaxed);
-    SlotSteps.fetch_add(Report.LaneSlotSteps, std::memory_order_relaxed);
-    if (Report.LaneStepReplays > 0)
-      Replays.add(Report.LaneStepReplays);
-
-    for (unsigned Ln = 0; Ln < Count; ++Ln) {
-      const uint64_t I = First + Ln;
-      SimulationOutcome Local;
-      Local.Result = std::move(Report.Lane[Ln]);
-      Local.SolverUsed = "lockstep-dopri5";
-      if (Local.Result.ok()) {
-        if (Recorders[Ln])
-          Local.Dynamics = Recorders[Ln]->trajectory();
-      } else {
-        // The lockstep could not finish this lane (stiffness, vanishing
-        // shared step): re-run it scalar, keeping the lockstep cost —
-        // the same accounting as gpu-fine's BDF fallback.
-        Fallbacks.add();
-        const IntegrationStats LockstepCost = Local.Result.Stats;
-        CompiledOdeSystem &Scalar = Slot.bind(Shared);
-        std::vector<double> Y0 = configureSimulation(Spec, Scalar, I);
-        Local = runOne(Spec, Scalar, Slot.solver("lsoda"), std::move(Y0));
-        Local.Result.Stats.merge(LockstepCost);
-        ++Local.Result.Stats.SolverSwitches;
-      }
-      Outcomes[I] = std::move(Local);
-    }
-  });
-
-  const uint64_t Slots = SlotSteps.load(std::memory_order_relaxed);
-  if (Slots > 0)
-    Occupancy.set(static_cast<double>(
-                      ActiveSteps.load(std::memory_order_relaxed)) /
-                  static_cast<double>(Slots));
-  return finalizeBatch(Spec, Model, Backend::CpuSimdLanes, *Shared,
                        std::move(Outcomes), Timer.seconds());
 }
 
@@ -393,41 +280,79 @@ BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
 // Factories.
 //===----------------------------------------------------------------------===//
 
+namespace {
+std::unique_ptr<Simulator> makeCpuLsoda(const CostModel &Model, unsigned) {
+  return std::make_unique<CpuSolverSimulator>("lsoda", "cpu-lsoda", Model);
+}
+
+std::unique_ptr<Simulator> makeCpuVode(const CostModel &Model, unsigned) {
+  return std::make_unique<CpuSolverSimulator>("vode", "cpu-vode", Model);
+}
+
+template <typename GpuSimulator>
+std::unique_ptr<Simulator> makeGpu(const CostModel &Model,
+                                   unsigned HostWorkers) {
+  return std::make_unique<GpuSimulator>(Model, HostWorkers);
+}
+
+/// One personality: its name and how to construct it. HostWorkers caps a
+/// GPU personality's host pool; the CPU personalities ignore it.
+struct Personality {
+  const char *Name;
+  std::unique_ptr<Simulator> (*Make)(const CostModel &Model,
+                                     unsigned HostWorkers);
+};
+
+/// Every personality, in the order of the evaluation's comparison maps:
+/// the one list of names that the factories and the name check read.
+const Personality Personalities[] = {
+    {"cpu-lsoda", makeCpuLsoda},
+    {"cpu-vode", makeCpuVode},
+    {"gpu-coarse", makeGpu<CoarseGpuSimulator>},
+    {"gpu-fine", makeGpu<FineGpuSimulator>},
+    {"psg-engine", makeGpu<FineCoarseSimulator>},
+};
+
+const Personality *findPersonality(const std::string &Name) {
+  for (const Personality &P : Personalities)
+    if (Name == P.Name)
+      return &P;
+  return nullptr;
+}
+} // namespace
+
+std::vector<std::string> psg::simulatorNames() {
+  std::vector<std::string> Names;
+  for (const Personality &P : Personalities)
+    Names.push_back(P.Name);
+  return Names;
+}
+
+Status psg::checkSimulatorName(const std::string &Name) {
+  if (findPersonality(Name))
+    return Status::success();
+  std::string Known;
+  for (const Personality &P : Personalities) {
+    if (!Known.empty())
+      Known += ", ";
+    Known += P.Name;
+  }
+  return Status::failure("unknown simulator '" + Name + "' (known: " +
+                         Known + ")");
+}
+
 std::vector<std::unique_ptr<Simulator>>
 psg::createAllSimulators(const CostModel &Model) {
   std::vector<std::unique_ptr<Simulator>> All;
-  All.push_back(
-      std::make_unique<CpuSolverSimulator>("lsoda", "cpu-lsoda", Model));
-  All.push_back(
-      std::make_unique<CpuSolverSimulator>("vode", "cpu-vode", Model));
-  All.push_back(std::make_unique<SimdLaneSimulator>(Model));
-  All.push_back(std::make_unique<CoarseGpuSimulator>(Model));
-  All.push_back(std::make_unique<FineGpuSimulator>(Model));
-  All.push_back(std::make_unique<FineCoarseSimulator>(Model));
+  for (const std::string &Name : simulatorNames())
+    All.push_back(std::move(*createSimulator(Name, Model)));
   return All;
 }
 
 ErrorOr<std::unique_ptr<Simulator>>
 psg::createSimulator(const std::string &Name, const CostModel &Model,
                      unsigned HostWorkers) {
-  if (Name == "cpu-lsoda")
-    return std::unique_ptr<Simulator>(
-        std::make_unique<CpuSolverSimulator>("lsoda", "cpu-lsoda", Model));
-  if (Name == "cpu-vode")
-    return std::unique_ptr<Simulator>(
-        std::make_unique<CpuSolverSimulator>("vode", "cpu-vode", Model));
-  if (Name == "simd-lanes")
-    return std::unique_ptr<Simulator>(std::make_unique<SimdLaneSimulator>(
-        Model, /*LaneWidth=*/8, HostWorkers));
-  if (Name == "gpu-coarse")
-    return std::unique_ptr<Simulator>(
-        std::make_unique<CoarseGpuSimulator>(Model, HostWorkers));
-  if (Name == "gpu-fine")
-    return std::unique_ptr<Simulator>(
-        std::make_unique<FineGpuSimulator>(Model, HostWorkers));
-  if (Name == "psg-engine")
-    return std::unique_ptr<Simulator>(
-        std::make_unique<FineCoarseSimulator>(Model, HostWorkers));
-  return ErrorOr<std::unique_ptr<Simulator>>::failure(
-      "unknown simulator '" + Name + "'");
+  if (const Personality *P = findPersonality(Name))
+    return P->Make(Model, HostWorkers);
+  return checkSimulatorName(Name);
 }

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The six personalities of the evaluation:
+/// The five personalities of the evaluation:
 ///
 /// | name            | backend          | numerical method            |
 /// |-----------------|------------------|-----------------------------|
 /// | cpu-lsoda       | CpuSerial        | Adams/BDF auto-switch       |
 /// | cpu-vode        | CpuSerial        | Adams-or-BDF start heuristic|
-/// | simd-lanes      | CpuSimdLanes     | lockstep DOPRI5 over SIMD   |
-/// |                 |                  | lanes, LSODA lane fallback  |
 /// | gpu-coarse      | GpuCoarse        | LSODA per GPU thread        |
 /// | gpu-fine        | GpuFine          | RKF45 with BDF fallback     |
 /// | psg-engine      | GpuFineCoarse    | DOPRI5/RADAU5 with the P2   |
@@ -48,33 +46,6 @@ private:
   std::string DisplayName;
   CostModel Model;
   SimWorkerPool Workers; ///< Slot 0: the serial loop's reusable state.
-};
-
-/// Lane-batched CPU: groups of LaneWidth simulations integrate in
-/// lockstep through a LaneBatchOdeSystem (SoA state, vectorized rhs) and
-/// the LockstepDriver — the host analogue of the coarse-grained
-/// warp-per-simulation strategy. Lanes the lockstep cannot finish
-/// (stiffness, step-size collapse) re-run scalar LSODA, mirroring
-/// gpu-fine's BDF fallback.
-class SimdLaneSimulator : public Simulator {
-public:
-  /// \p HostWorkers caps the host pool backing the personality's virtual
-  /// device (0 = hardware concurrency); the sharded scheduler uses it to
-  /// pin each logical device to a slice of the machine.
-  explicit SimdLaneSimulator(CostModel Model, unsigned LaneWidth = 8,
-                             unsigned HostWorkers = 0);
-
-  std::string name() const override { return "simd-lanes"; }
-  Backend backend() const override { return Backend::CpuSimdLanes; }
-  BatchResult run(const BatchSpec &Spec) override;
-
-  unsigned laneWidth() const { return LaneWidth; }
-
-private:
-  CostModel Model;
-  VirtualDevice Device;
-  SimWorkerPool Workers; ///< One reusable slot per host worker.
-  unsigned LaneWidth;
 };
 
 /// cupSODA-like: one virtual GPU thread per simulation, LSODA numerics.

@@ -10,6 +10,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 using namespace psg;
 
@@ -77,8 +78,9 @@ bool psg::parseUnsigned(std::string_view S, unsigned &Out) {
   std::string Buffer(S);
   char *End = nullptr;
   unsigned long V = std::strtoul(Buffer.c_str(), &End, 10);
-  if (End != Buffer.c_str() + Buffer.size())
-    return false;
+  if (End != Buffer.c_str() + Buffer.size() ||
+      V > std::numeric_limits<unsigned>::max())
+    return false; // The cast below would silently wrap.
   Out = static_cast<unsigned>(V);
   return true;
 }

@@ -33,7 +33,8 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Parses a double; returns false on malformed or trailing garbage.
 bool parseDouble(std::string_view S, double &Out);
 
-/// Parses a non-negative integer; returns false on malformed input.
+/// Parses a non-negative integer; returns false on malformed input and
+/// on values \c unsigned cannot hold.
 bool parseUnsigned(std::string_view S, unsigned &Out);
 
 /// printf-style formatting into a std::string.

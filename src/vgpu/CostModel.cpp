@@ -19,8 +19,6 @@ const char *psg::backendName(Backend B) {
   switch (B) {
   case Backend::CpuSerial:
     return "cpu-serial";
-  case Backend::CpuSimdLanes:
-    return "cpu-simd-lanes";
   case Backend::GpuCoarse:
     return "gpu-coarse";
   case Backend::GpuFine:
@@ -73,25 +71,6 @@ ModeledTime CostModel::cpuSerial(const SimulationWork &Work,
   // the evaluation; memory time is folded into the effective issue rate.
   T.MemorySeconds = 0.0;
   T.HostSeconds = B * Knobs.CpuPerSimOverheadSec;
-  return T;
-}
-
-ModeledTime CostModel::cpuSimdLanes(const SimulationWork &Work,
-                                    uint64_t Batch) const {
-  ModeledTime T;
-  const double B = static_cast<double>(Batch);
-  // The lane loops advance SimdLaneWidth parameterizations per
-  // instruction; efficiency discounts lockstep replays, ragged final
-  // groups, and the scalar step-control scaffolding.
-  const double Width =
-      std::max(1.0, Knobs.SimdLaneWidth * Knobs.SimdEfficiency);
-  T.ComputeSeconds = B * Work.TotalFlops / (Cpu.peakFlops() * Width);
-  // Cache-resident like the serial CPU path (the SoA working set is a
-  // lane-width multiple but still tiny for the evaluation's models).
-  T.MemorySeconds = 0.0;
-  // Dispatch is per lane-group, not per simulation.
-  T.HostSeconds =
-      B * Knobs.CpuPerSimOverheadSec / std::max(1.0, Knobs.SimdLaneWidth);
   return T;
 }
 
@@ -195,8 +174,6 @@ ModeledTime CostModel::integrationTime(Backend B, const SimulationWork &Work,
   switch (B) {
   case Backend::CpuSerial:
     return cpuSerial(Work, Batch);
-  case Backend::CpuSimdLanes:
-    return cpuSimdLanes(Work, Batch);
   case Backend::GpuCoarse:
     return gpuCoarse(Work, Batch);
   case Backend::GpuFine:
@@ -214,7 +191,7 @@ ModeledTime CostModel::simulationTime(Backend B, const SimulationWork &Work,
   const double SampleBytes =
       static_cast<double>(Work.OutputSamples) *
       static_cast<double>(Work.NumSpecies) * sizeof(double);
-  if (B == Backend::CpuSerial || B == Backend::CpuSimdLanes) {
+  if (B == Backend::CpuSerial) {
     // Results are already in host memory; charge a stream-to-disk cost at
     // the CPU copy bandwidth.
     T.HostSeconds += BatchD * SampleBytes / (Cpu.GlobalBandwidthGBs * 1e9);

@@ -37,15 +37,12 @@ namespace psg {
 /// Execution strategy being modeled.
 enum class Backend {
   CpuSerial,
-  /// Lane-batched CPU: SIMD lanes carry neighbouring parameterizations in
-  /// lockstep (the host analogue of GpuCoarse's warp-per-simulation).
-  CpuSimdLanes,
   GpuCoarse,
   GpuFine,
   GpuFineCoarse
 };
 
-/// Stable display name ("cpu-serial", "cpu-simd-lanes", "gpu-coarse", ...).
+/// Stable display name ("cpu-serial", "gpu-coarse", ...).
 const char *backendName(Backend B);
 
 /// Average per-simulation work of a batch, measured from real runs.
@@ -122,11 +119,6 @@ public:
     /// kernel global-memory traffic and the final H2D chunk of batch
     /// N+1 must still serialize before its launch.
     double StreamOverlapEfficiency = 0.85;
-    /// SIMD lanes of the CpuSimdLanes backend (AVX2 doubles x 2 ports).
-    double SimdLaneWidth = 8.0;
-    /// Fraction of the ideal lane speedup the lockstep integration keeps
-    /// after divergence replays, ragged groups, and scalar control flow.
-    double SimdEfficiency = 0.55;
   };
 
   CostModel(DeviceSpec Gpu, DeviceSpec Cpu)
@@ -169,7 +161,6 @@ private:
   Tunables Knobs;
 
   ModeledTime cpuSerial(const SimulationWork &Work, uint64_t Batch) const;
-  ModeledTime cpuSimdLanes(const SimulationWork &Work, uint64_t Batch) const;
   ModeledTime gpuCoarse(const SimulationWork &Work, uint64_t Batch) const;
   ModeledTime gpuFine(const SimulationWork &Work, uint64_t Batch) const;
   ModeledTime gpuFineCoarse(const SimulationWork &Work,

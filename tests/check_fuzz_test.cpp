@@ -157,36 +157,6 @@ TEST(DifferentialFuzzTest, ForcedDivergenceEmitsMinimizedRepro) {
   std::remove(D.ReproPath.c_str());
 }
 
-// The lane-batched lockstep personality must ride the same differential
-// gate as every scalar personality: pin its membership in the fuzzed set
-// (createAllSimulators feeds the fuzzer) and replay a batch of seeded
-// cases against the Richardson reference targeting it alone. Lockstep
-// step-size control makes bit-exact agreement with the scalar solvers
-// impossible; the conformance tolerance is the contract.
-TEST(DifferentialFuzzTest, SimdLanesPersonalityIsFuzzedAndConforms) {
-  CostModel M = CostModel::paperSetup();
-  bool Fuzzed = false;
-  for (const auto &Sim : createAllSimulators(M))
-    Fuzzed |= Sim->name() == "simd-lanes";
-  EXPECT_TRUE(Fuzzed) << "simd-lanes dropped out of the fuzzed set";
-
-  for (uint64_t Seed : {11u, 23u, 4242u}) {
-    CheckCase Case;
-    RandomRbmOptions Gen;
-    Gen.Seed = Seed;
-    Case.Model = generateRandomRbm(Gen);
-    Case.Seed = Seed;
-    Case.Simulator = "simd-lanes";
-    Case.EndTime = 3.0;
-    Case.OutputSamples = 13;
-    Case.Options.AbsTol = 1e-9;
-    Case.Options.RelTol = 1e-6;
-    Case.Options.MaxSteps = 200000;
-    Status S = checkCaseAgainstReference(Case, /*CompareTol=*/5e-3);
-    EXPECT_TRUE(S.ok()) << "seed " << Seed << ": " << S.message();
-  }
-}
-
 TEST(DifferentialFuzzTest, ReferenceAgreesWithGoldenClosedForm) {
   // Sanity-check the oracle itself: on a curated mass-action model the
   // checker must pass at the default tolerance.

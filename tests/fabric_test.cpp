@@ -218,7 +218,7 @@ TEST(FabricTest, DistributedIsBitExactWithSingleProcessOracle) {
   const std::vector<Parameterization> Sweep = makeSweep(Space, Points);
 
   for (const char *Personality : {"psg-engine", "cpu-lsoda", "cpu-vode",
-                                  "simd-lanes", "gpu-coarse", "gpu-fine"}) {
+                                  "gpu-coarse", "gpu-fine"}) {
     const std::vector<SimulationOutcome> Reference =
         referenceOutcomes(Net, Personality, Sweep, Chunk);
     ASSERT_EQ(Reference.size(), Points) << Personality;

@@ -7,6 +7,7 @@
 #include "rbm/CuratedModels.h"
 #include "rbm/MassAction.h"
 #include "rbm/ModelIo.h"
+#include "rbm/SbmlIo.h"
 #include "rbm/ReactionNetwork.h"
 #include "rbm/SyntheticGenerator.h"
 
@@ -337,6 +338,40 @@ TEST(ModelIoTest, UnknownSpeciesIsAnError) {
 TEST(ModelIoTest, DuplicateSpeciesIsAnError) {
   auto Net = parseModelText("model m\nspecies A 1\nspecies A 2\n");
   EXPECT_FALSE(Net.ok());
+}
+
+// NaN compares false against every bound, so without an explicit
+// finiteness check each of these models would load and run.
+TEST(ModelIoTest, RejectsNonFiniteValues) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"species A nan\nspecies B 0\nreaction 1 : A -> B\n",
+       "species 'A' has non-finite initial concentration nan"},
+      {"species A 1\nspecies B 0\nreaction inf : A -> B\n",
+       "reaction 0 has non-finite rate constant inf"},
+      {"species S 1\nspecies P 0\nreaction mm 1.0 nan : S -> P\n",
+       "reaction 0 needs a positive finite Km, got nan"},
+      {"species S 1\nspecies P 0\nreaction hill 1.0 inf 2 : S -> P\n",
+       "reaction 0 needs positive finite Hill K and n, got inf and 2"},
+      {"species S 1\nspecies P 0\nreaction hill 1.0 0.5 nan : S -> P\n",
+       "reaction 0 needs positive finite Hill K and n, got 0.5 and nan"},
+  };
+  for (const auto &[Text, Message] : Cases) {
+    auto Net = parseModelText(std::string("model m\n") + Text);
+    ASSERT_FALSE(Net.ok()) << Text;
+    EXPECT_EQ(Net.message(), Message);
+  }
+}
+
+TEST(ModelIoTest, SbmlRejectsNonFiniteInitialConcentration) {
+  auto Net = parseSbml(
+      "<sbml><model id=\"m\"><listOfSpecies>"
+      "<species id=\"A\" initialConcentration=\"nan\"/></listOfSpecies>"
+      "<listOfReactions><reaction id=\"r0\" psg:rate=\"1\">"
+      "<listOfReactants><speciesReference species=\"A\"/>"
+      "</listOfReactants></reaction></listOfReactions></model></sbml>");
+  ASSERT_FALSE(Net.ok());
+  EXPECT_EQ(Net.message(),
+            "species 'A' has non-finite initial concentration nan");
 }
 
 /// Property: serialize -> parse is the identity on structure.

@@ -139,7 +139,7 @@ TEST(ShardedExecutorTest, ShardedIsBitExactWithSingleDeviceOracle) {
   const std::vector<Parameterization> Sweep = makeSweep(Space, Points);
 
   for (const char *Personality : {"psg-engine", "cpu-lsoda", "cpu-vode",
-                                  "simd-lanes", "gpu-coarse", "gpu-fine"}) {
+                                  "gpu-coarse", "gpu-fine"}) {
     const std::vector<SimulationOutcome> Reference =
         referenceOutcomes(Net, Personality, Sweep, Chunk);
     ASSERT_EQ(Reference.size(), Points) << Personality;
@@ -363,7 +363,7 @@ TEST(ShardedExecutorTest, HeterogeneousFleetScalesChunksByThroughput) {
   Opts.Sched.WorkersPerDevice = 1;
   ShardedExecutor Executor(CostModel::paperSetup(), Opts, Opts.Sched);
   // The modeled GPU is far faster than one CPU core: the CPU device gets
-  // a smaller shard, lane-aligned, never zero.
+  // a smaller shard, a multiple of 8, never zero.
   EXPECT_EQ(Executor.chunkFor(0), 64u);
   EXPECT_LT(Executor.chunkFor(1), Executor.chunkFor(0));
   EXPECT_GE(Executor.chunkFor(1), 8u);

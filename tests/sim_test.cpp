@@ -32,20 +32,46 @@ BatchSpec specFor(const ReactionNetwork &Net, uint64_t Batch,
 } // namespace
 
 TEST(SimulatorFactoryTest, AllPersonalitiesConstruct) {
+  // The paper's five comparators, in the order of its maps and tables.
   CostModel M = CostModel::paperSetup();
   auto All = createAllSimulators(M);
-  ASSERT_EQ(All.size(), 6u);
-  EXPECT_EQ(All[0]->name(), "cpu-lsoda");
-  EXPECT_EQ(All[2]->name(), "simd-lanes");
-  EXPECT_EQ(All[5]->name(), "psg-engine");
-  EXPECT_EQ(All[2]->backend(), Backend::CpuSimdLanes);
-  EXPECT_EQ(All[3]->backend(), Backend::GpuCoarse);
-  EXPECT_EQ(All[5]->backend(), Backend::GpuFineCoarse);
+  const std::pair<const char *, Backend> Expected[] = {
+      {"cpu-lsoda", Backend::CpuSerial},
+      {"cpu-vode", Backend::CpuSerial},
+      {"gpu-coarse", Backend::GpuCoarse},
+      {"gpu-fine", Backend::GpuFine},
+      {"psg-engine", Backend::GpuFineCoarse},
+  };
+  ASSERT_EQ(All.size(), std::size(Expected));
+  for (size_t I = 0; I < All.size(); ++I) {
+    EXPECT_EQ(All[I]->name(), Expected[I].first) << I;
+    EXPECT_EQ(All[I]->backend(), Expected[I].second) << I;
+  }
+}
+
+TEST(SimulatorFactoryTest, CreateByNameMatchesCreateAll) {
+  CostModel M = CostModel::paperSetup();
+  const std::vector<std::string> Names = simulatorNames();
+  auto All = createAllSimulators(M);
+  ASSERT_EQ(All.size(), Names.size());
+  for (size_t I = 0; I < Names.size(); ++I) {
+    EXPECT_TRUE(checkSimulatorName(Names[I]).ok()) << Names[I];
+    auto Sim = createSimulator(Names[I], M);
+    ASSERT_TRUE(Sim.ok()) << Names[I];
+    EXPECT_EQ((*Sim)->name(), Names[I]);
+    EXPECT_EQ((*Sim)->name(), All[I]->name());
+    EXPECT_EQ((*Sim)->backend(), All[I]->backend()) << Names[I];
+  }
 }
 
 TEST(SimulatorFactoryTest, UnknownNameFails) {
   CostModel M = CostModel::paperSetup();
-  EXPECT_FALSE(createSimulator("warp-drive", M).ok());
+  auto Sim = createSimulator("warp-drive", M);
+  ASSERT_FALSE(Sim.ok());
+  EXPECT_EQ(Sim.message(),
+            "unknown simulator 'warp-drive' (known: cpu-lsoda, cpu-vode, "
+            "gpu-coarse, gpu-fine, psg-engine)");
+  EXPECT_EQ(checkSimulatorName("warp-drive").message(), Sim.message());
 }
 
 class AllSimulatorsTest : public ::testing::TestWithParam<const char *> {};
@@ -80,8 +106,8 @@ TEST_P(AllSimulatorsTest, ProducesCorrectRobertsonEndState) {
 
 INSTANTIATE_TEST_SUITE_P(Personalities, AllSimulatorsTest,
                          ::testing::Values("cpu-lsoda", "cpu-vode",
-                                           "simd-lanes", "gpu-coarse",
-                                           "gpu-fine", "psg-engine"));
+                                           "gpu-coarse", "gpu-fine",
+                                           "psg-engine"));
 
 TEST(SimulatorTest, PerSimulationParameterizationsApply) {
   CostModel M = CostModel::paperSetup();
@@ -166,8 +192,8 @@ TEST(SimulatorTest, PersonalitiesAgreeNumerically) {
   CostModel M = CostModel::paperSetup();
   ReactionNetwork Net = makeLotkaVolterraNetwork();
   std::vector<double> Finals;
-  for (const char *Name : {"cpu-lsoda", "cpu-vode", "simd-lanes",
-                           "gpu-coarse", "gpu-fine", "psg-engine"}) {
+  for (const char *Name :
+       {"cpu-lsoda", "cpu-vode", "gpu-coarse", "gpu-fine", "psg-engine"}) {
     auto Sim = createSimulator(Name, M);
     BatchSpec Spec = specFor(Net, 1, 8.0, 3);
     BatchResult R = (*Sim)->run(Spec);

@@ -277,6 +277,10 @@ TEST(StringUtilsTest, ParseUnsigned) {
   EXPECT_EQ(V, 42u);
   EXPECT_FALSE(parseUnsigned("-1", V));
   EXPECT_FALSE(parseUnsigned("3.5", V));
+  EXPECT_TRUE(parseUnsigned("4294967295", V));
+  EXPECT_EQ(V, 4294967295u);
+  EXPECT_FALSE(parseUnsigned("4294967296", V));
+  EXPECT_FALSE(parseUnsigned("99999999999999999999999", V));
 }
 
 TEST(StringUtilsTest, FormatString) {

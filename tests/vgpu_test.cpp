@@ -312,7 +312,6 @@ TEST(CostModelTest, BackendNamesAreStable) {
   // new Backend without a name fails to compile), and these strings are
   // load-bearing in metrics JSON and bench baselines.
   EXPECT_STREQ(backendName(Backend::CpuSerial), "cpu-serial");
-  EXPECT_STREQ(backendName(Backend::CpuSimdLanes), "cpu-simd-lanes");
   EXPECT_STREQ(backendName(Backend::GpuCoarse), "gpu-coarse");
   EXPECT_STREQ(backendName(Backend::GpuFine), "gpu-fine");
   EXPECT_STREQ(backendName(Backend::GpuFineCoarse), "gpu-fine-coarse");

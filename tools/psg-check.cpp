@@ -19,6 +19,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliOptions.h"
+
 #include "check/CaseFile.h"
 #include "check/Differential.h"
 #include "check/Golden.h"
@@ -30,55 +32,17 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <string>
 
 using namespace psg;
 
 namespace {
 
-/// Parsed `--key value` / `--flag` arguments plus positional operands.
-struct Options {
-  std::vector<std::string> Positional;
-  std::map<std::string, std::string> Values;
-
-  static Options parse(int Argc, char **Argv, int Begin) {
-    Options O;
-    for (int I = Begin; I < Argc; ++I) {
-      std::string Arg = Argv[I];
-      if (Arg.rfind("--", 0) == 0) {
-        const std::string Key = Arg.substr(2);
-        if (I + 1 < Argc && std::string(Argv[I + 1]).rfind("--", 0) != 0)
-          O.Values[Key] = Argv[++I];
-        else
-          O.Values[Key].assign(1, '1');
-      } else {
-        O.Positional.push_back(Arg);
-      }
-    }
-    return O;
-  }
-
-  std::string get(const std::string &Key, const std::string &Def) const {
-    auto It = Values.find(Key);
-    return It == Values.end() ? Def : It->second;
-  }
-  double getDouble(const std::string &Key, double Def) const {
-    auto It = Values.find(Key);
-    double V = Def;
-    if (It != Values.end() && !parseDouble(It->second, V))
-      fatalError("bad numeric value for --" + Key);
-    return V;
-  }
-  unsigned getUnsigned(const std::string &Key, unsigned Def) const {
-    auto It = Values.find(Key);
-    unsigned V = Def;
-    if (It != Values.end() && !parseUnsigned(It->second, V))
-      fatalError("bad integer value for --" + Key);
-    return V;
-  }
-  bool has(const std::string &Key) const { return Values.count(Key) > 0; }
-};
+/// Prints a user-error message and returns the usage exit code (2).
+int checkError(const std::string &Message) {
+  std::fprintf(stderr, "psg-check: error: %s\n", Message.c_str());
+  return 2;
+}
 
 int usage() {
   std::fprintf(
@@ -295,7 +259,7 @@ int cmdReplay(const Options &O) {
     return usage();
   auto CaseOr = loadCaseFile(O.Positional[0]);
   if (!CaseOr)
-    fatalError(CaseOr.message());
+    return checkError(CaseOr.message());
   const double CompareTol = O.getDouble("compare-tol", 5e-3);
   std::printf("replaying seed %llu (%s, [%g, %g], %zu samples)\n",
               (unsigned long long)CaseOr->Seed,
@@ -344,6 +308,21 @@ int cmdProperties(const Options &) {
   return Failures == 0 ? 0 : 1;
 }
 
+/// The flags \p Command takes, in Options::check() form; null for an
+/// unknown command.
+const char *commandFlags(const std::string &Command) {
+  if (Command == "golden")
+    return "solver";
+  if (Command == "fuzz")
+    return "seed:uint cases:uint tend:pos samples:uint compare-tol:pos "
+           "time-budget:real repro-dir stats-json";
+  if (Command == "replay")
+    return "compare-tol:pos";
+  if (Command == "properties")
+    return "";
+  return nullptr;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -351,6 +330,11 @@ int main(int Argc, char **Argv) {
     return usage();
   const std::string Command = Argv[1];
   Options O = Options::parse(Argc, Argv, 2);
+  const char *Flags = commandFlags(Command);
+  if (!Flags)
+    return usage();
+  if (Status S = O.check(Flags); !S)
+    return checkError(S.message());
   if (Command == "golden")
     return cmdGolden(O);
   if (Command == "fuzz")

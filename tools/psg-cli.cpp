@@ -17,6 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliOptions.h"
+
 #include "analysis/Psa.h"
 #include "analysis/SteadyState.h"
 #include "analysis/StreamReducers.h"
@@ -37,60 +39,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 
 using namespace psg;
 
 namespace {
-/// Parsed `--key value` / `--flag` arguments plus positional operands.
-struct Options {
-  std::vector<std::string> Positional;
-  std::map<std::string, std::string> Values;
-
-  static Options parse(int Argc, char **Argv, int Begin) {
-    Options O;
-    for (int I = Begin; I < Argc; ++I) {
-      std::string Arg = Argv[I];
-      if (Arg.rfind("--", 0) == 0) {
-        const std::string Key = Arg.substr(2);
-        if (I + 1 < Argc && std::string(Argv[I + 1]).rfind("--", 0) != 0)
-          O.Values[Key] = Argv[++I];
-        else
-          O.Values[Key].assign(1, '1');
-      } else {
-        O.Positional.push_back(Arg);
-      }
-    }
-    return O;
-  }
-
-  std::string get(const std::string &Key, const std::string &Def) const {
-    auto It = Values.find(Key);
-    return It == Values.end() ? Def : It->second;
-  }
-  double getDouble(const std::string &Key, double Def) const {
-    auto It = Values.find(Key);
-    double V = Def;
-    if (It != Values.end() && !parseDouble(It->second, V))
-      fatalError("bad numeric value for --" + Key);
-    return V;
-  }
-  unsigned getUnsigned(const std::string &Key, unsigned Def) const {
-    auto It = Values.find(Key);
-    unsigned V = Def;
-    if (It != Values.end() && !parseUnsigned(It->second, V))
-      fatalError("bad integer value for --" + Key);
-    return V;
-  }
-  bool has(const std::string &Key) const { return Values.count(Key) > 0; }
-};
-
-/// Prints a clean option-validation error and returns the usage exit
-/// code (2). Option mistakes must take this path, not fatalError: the
-/// user gets a message and a sane exit status instead of an abort from
-/// the middle of engine construction.
+/// Prints a clean user-error message and returns the usage exit code
+/// (2). Bad flags and values, unloadable models and unknown simulators
+/// must take this path, not fatalError: the user gets a message and a
+/// sane exit status instead of an abort from the middle of a run.
+/// fatalError stays for socket and I/O failures.
 int cliError(const std::string &Message) {
   std::fprintf(stderr, "psg-cli: error: %s\n", Message.c_str());
   return 2;
@@ -129,14 +87,15 @@ ErrorOr<ReactionNetwork> loadCuratedModel(const std::string &Name) {
       "saturating-toy, repressilator, metabolic, autophagy-small)");
 }
 
-ReactionNetwork loadModelOrDie(const std::string &Path) {
+ErrorOr<ReactionNetwork> loadModel(const std::string &Path) {
   ErrorOr<ReactionNetwork> Net =
       Path.rfind("curated:", 0) == 0 ? loadCuratedModel(Path.substr(8))
       : isSbmlPath(Path)             ? loadSbmlFile(Path)
                                      : loadModelFile(Path);
   if (!Net)
-    fatalError("cannot load model '" + Path + "': " + Net.message());
-  return std::move(*Net);
+    return Status::failure("cannot load model '" + Path +
+                           "': " + Net.message());
+  return Net;
 }
 
 void saveModelOrDie(const ReactionNetwork &Net, const std::string &Path) {
@@ -146,11 +105,14 @@ void saveModelOrDie(const ReactionNetwork &Net, const std::string &Path) {
     fatalError("cannot save model '" + Path + "': " + S.message());
 }
 
-/// Parses the multi-device flags shared by simulate and psa1d:
+/// Parses the multi-device flags shared by simulate, psa1d and worker:
 /// --devices takes either a count (that many copies of --simulator) or a
-/// comma-separated personality list ("gpu-coarse,gpu-coarse,simd-lanes"),
-/// and --shard-chunk overrides the base shard size.
+/// comma-separated personality list ("gpu-coarse,gpu-coarse,psg-engine"),
+/// and --shard-chunk overrides the base shard size. Fails when
+/// Opts.SimulatorName or a listed device is not a known personality.
 Status applySchedOptions(const Options &O, EngineOptions &Opts) {
+  if (Status S = checkSimulatorName(Opts.SimulatorName); !S)
+    return S;
   if (O.has("devices")) {
     const std::string Spec = O.get("devices", "");
     unsigned Count = 0;
@@ -167,6 +129,9 @@ Status applySchedOptions(const Options &O, EngineOptions &Opts) {
       return Status::failure(
           "--devices needs a device count or a comma-separated "
           "personality list");
+    for (const std::string &Name : Opts.Sched.Devices)
+      if (Status S = checkSimulatorName(Name); !S)
+        return S;
   }
   if (O.has("shard-chunk"))
     Opts.Sched.ChunkSize = O.getUnsigned("shard-chunk", 0);
@@ -182,17 +147,16 @@ struct FabricSession {
 
 /// Parses the cross-node flags shared by simulate and psa1d: with
 /// `--coordinator PORT --nodes N`, binds the port, blocks until N
-/// workers connect, and enables the fabric path in \p Opts.
-FabricSession applyFabricOptions(const Options &O, EngineOptions &Opts) {
-  FabricSession S;
+/// workers connect, and enables the fabric path in \p Opts. Fails on a
+/// bad port before binding.
+Status applyFabricOptions(const Options &O, EngineOptions &Opts,
+                          FabricSession &S) {
   if (!O.has("coordinator"))
-    return S;
+    return Status::success();
   const unsigned Port = O.getUnsigned("coordinator", 0);
   if (Port > 65535)
-    fatalError("--coordinator needs a TCP port (0 = ephemeral)");
+    return Status::failure("--coordinator needs a TCP port (0 = ephemeral)");
   const unsigned Nodes = O.getUnsigned("nodes", 1);
-  if (Nodes == 0)
-    fatalError("--nodes must be at least 1");
 
   auto Listener = TcpListener::create(static_cast<uint16_t>(Port));
   if (!Listener)
@@ -212,7 +176,7 @@ FabricSession applyFabricOptions(const Options &O, EngineOptions &Opts) {
     Opts.Fabric.Workers.push_back(N);
   if (O.has("grant-size"))
     Opts.Fabric.GrantSize = O.getUnsigned("grant-size", 0);
-  return S;
+  return Status::success();
 }
 
 /// Prints the cross-node telemetry of a distributed run from the
@@ -334,14 +298,11 @@ int usage() {
       "             autophagy-small)\n"
       "\n"
       "simulators: psg-engine (default), cpu-lsoda, cpu-vode,\n"
-      "            simd-lanes, gpu-coarse, gpu-fine\n");
+      "            gpu-coarse, gpu-fine\n");
   return 2;
 }
 
-int cmdInfo(const Options &O) {
-  if (O.Positional.empty())
-    return usage();
-  ReactionNetwork Net = loadModelOrDie(O.Positional[0]);
+int cmdInfo(const ReactionNetwork &Net) {
   std::printf("model:      %s\n", Net.name().c_str());
   std::printf("species:    %zu\n", Net.numSpecies());
   std::printf("reactions:  %zu\n", Net.numReactions());
@@ -394,18 +355,19 @@ int cmdInfo(const Options &O) {
   return 0;
 }
 
-int cmdSimulate(const Options &O) {
-  if (O.Positional.empty())
-    return usage();
-  ReactionNetwork Net = loadModelOrDie(O.Positional[0]);
+int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
 
   EngineOptions Opts;
   Opts.SimulatorName = O.get("simulator", "psg-engine");
   Opts.EndTime = O.getDouble("tend", 10.0);
   Opts.OutputSamples = O.getUnsigned("samples", 101);
+  if (Opts.OutputSamples == 1)
+    return cliError("--samples needs 0 or at least 2 (both endpoints)");
   if (Status S = applySchedOptions(O, Opts); !S)
     return cliError(S.message());
-  FabricSession Fab = applyFabricOptions(O, Opts);
+  FabricSession Fab;
+  if (Status S = applyFabricOptions(O, Opts, Fab); !S)
+    return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
   const unsigned Batch = O.getUnsigned("batch", 1);
@@ -446,32 +408,33 @@ int cmdSimulate(const Options &O) {
   return Report.Failures == 0 ? 0 : 1;
 }
 
-int cmdPsa1d(const Options &O) {
-  if (O.Positional.empty())
-    return usage();
-  ReactionNetwork Net = loadModelOrDie(O.Positional[0]);
+int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
 
   ParameterSpace Space(Net);
   ParameterAxis Axis;
   Axis.Lo = O.getDouble("lo", 0.1);
   Axis.Hi = O.getDouble("hi", 10.0);
   Axis.LogScale = O.has("log");
+  if (!(Axis.Lo < Axis.Hi))
+    return cliError("--lo must be below --hi");
+  if (Axis.LogScale && Axis.Lo <= 0)
+    return cliError("--log needs a positive --lo");
   if (O.has("species")) {
     Axis.Name = O.get("species", "");
     Axis.Target = AxisTarget::InitialConcentration;
     auto Index = Net.findSpecies(Axis.Name);
     if (!Index)
-      fatalError(Index.message());
+      return cliError(Index.message());
     Axis.SpeciesIndex = *Index;
   } else if (O.has("reaction")) {
     Axis.Target = AxisTarget::RateConstant;
     const unsigned R = O.getUnsigned("reaction", 0);
     if (R >= Net.numReactions())
-      fatalError("reaction index out of range");
+      return cliError(formatString("--reaction %u is out of range", R));
     Axis.Reactions = {R};
     Axis.Name = formatString("k%u", R);
   } else {
-    fatalError("psa1d needs --species NAME or --reaction IDX");
+    return cliError("psa1d needs --species NAME or --reaction IDX");
   }
   Space.addAxis(Axis);
 
@@ -479,7 +442,7 @@ int cmdPsa1d(const Options &O) {
   if (O.has("reporter")) {
     auto Index = Net.findSpecies(O.get("reporter", ""));
     if (!Index)
-      fatalError(Index.message());
+      return cliError(Index.message());
     Reporter = *Index;
   }
 
@@ -487,12 +450,16 @@ int cmdPsa1d(const Options &O) {
   Opts.SimulatorName = O.get("simulator", "psg-engine");
   Opts.EndTime = O.getDouble("tend", 10.0);
   Opts.OutputSamples = O.getUnsigned("samples", 51);
+  if (Opts.OutputSamples == 1)
+    return cliError("--samples needs 0 or at least 2 (both endpoints)");
   Opts.InFlight = O.getUnsigned("inflight", 2);
   if (O.has("sub-batch"))
     Opts.SubBatchSize = O.getUnsigned("sub-batch", 64);
   if (Status S = applySchedOptions(O, Opts); !S)
     return cliError(S.message());
-  FabricSession Fab = applyFabricOptions(O, Opts);
+  FabricSession Fab;
+  if (Status S = applyFabricOptions(O, Opts, Fab); !S)
+    return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
   const size_t Points = O.getUnsigned("points", 17);
@@ -562,10 +529,7 @@ int cmdPsa1d(const Options &O) {
   return 0;
 }
 
-int cmdWorker(const Options &O) {
-  if (O.Positional.empty())
-    return usage();
-  ReactionNetwork Net = loadModelOrDie(O.Positional[0]);
+int cmdWorker(const Options &O, const ReactionNetwork &Net) {
 
   const std::string Connect = O.get("connect", "");
   const size_t Colon = Connect.rfind(':');
@@ -573,7 +537,7 @@ int cmdWorker(const Options &O) {
   if (Colon == std::string::npos ||
       !parseUnsigned(Connect.substr(Colon + 1), Port) || Port == 0 ||
       Port > 65535)
-    fatalError("worker needs --connect HOST:PORT");
+    return cliError("worker needs --connect HOST:PORT");
   const std::string Host =
       Colon == 0 ? std::string("127.0.0.1") : Connect.substr(0, Colon);
 
@@ -607,10 +571,7 @@ int cmdWorker(const Options &O) {
   return 0;
 }
 
-int cmdSteady(const Options &O) {
-  if (O.Positional.empty())
-    return usage();
-  ReactionNetwork Net = loadModelOrDie(O.Positional[0]);
+int cmdSteady(const Options &O, const ReactionNetwork &Net) {
   CompiledOdeSystem Sys(Net);
   Radau5Solver Solver;
   SteadyStateOptions Opts;
@@ -651,10 +612,7 @@ int cmdGenerate(const Options &O) {
   return 0;
 }
 
-int cmdConvert(const Options &O) {
-  if (O.Positional.size() != 2)
-    return usage();
-  ReactionNetwork Net = loadModelOrDie(O.Positional[0]);
+int cmdConvert(const Options &O, const ReactionNetwork &Net) {
   saveModelOrDie(Net, O.Positional[1]);
   std::printf("converted %s -> %s (%zu species, %zu reactions)\n",
               O.Positional[0].c_str(), O.Positional[1].c_str(),
@@ -663,42 +621,50 @@ int cmdConvert(const Options &O) {
 }
 
 /// The flags \p Command takes besides the global --metrics-json and
-/// --trace-json, space-separated; null for an unknown command.
+/// --trace-json, in Options::check() form; null for an unknown command.
 const char *commandFlags(const std::string &Command) {
   if (Command == "info" || Command == "convert")
     return "";
   if (Command == "simulate")
-    return "tend samples batch perturb seed simulator out devices "
-           "shard-chunk coordinator nodes grant-size accept-timeout";
+    return "tend:pos samples:uint batch:count perturb seed:uint simulator "
+           "out devices shard-chunk:uint coordinator:uint nodes:count "
+           "grant-size:uint accept-timeout:real";
   if (Command == "psa1d")
-    return "species reaction lo hi log points reporter simulator tend "
-           "samples out stream inflight sub-batch devices shard-chunk "
-           "coordinator nodes grant-size accept-timeout";
+    return "species reaction:uint lo:real hi:real log points:count "
+           "reporter simulator tend:pos samples:uint out stream inflight:uint "
+           "sub-batch:uint devices shard-chunk:uint coordinator:uint "
+           "nodes:count grant-size:uint accept-timeout:real";
   if (Command == "worker")
-    return "connect connect-timeout simulator devices shard-chunk heartbeat";
+    return "connect connect-timeout:real simulator devices shard-chunk:uint "
+           "heartbeat:real";
   if (Command == "steady")
-    return "maxtime timescale";
+    return "maxtime:real timescale:real";
   if (Command == "generate")
-    return "species reactions seed out";
+    return "species:count reactions:count seed:uint out";
   return nullptr;
 }
 
 int runCommand(const std::string &Command, const Options &O) {
-  if (Command == "info")
-    return cmdInfo(O);
-  if (Command == "simulate")
-    return cmdSimulate(O);
-  if (Command == "psa1d")
-    return cmdPsa1d(O);
-  if (Command == "worker")
-    return cmdWorker(O);
-  if (Command == "steady")
-    return cmdSteady(O);
   if (Command == "generate")
     return cmdGenerate(O);
-  if (Command == "convert")
-    return cmdConvert(O);
-  return usage();
+  // Every other command reads the model named by its first operand
+  // (convert also takes an output path).
+  if (O.Positional.size() != (Command == "convert" ? 2u : 1u))
+    return usage();
+  auto Net = loadModel(O.Positional[0]);
+  if (!Net)
+    return cliError(Net.message());
+  if (Command == "info")
+    return cmdInfo(*Net);
+  if (Command == "simulate")
+    return cmdSimulate(O, *Net);
+  if (Command == "psa1d")
+    return cmdPsa1d(O, *Net);
+  if (Command == "worker")
+    return cmdWorker(O, *Net);
+  if (Command == "steady")
+    return cmdSteady(O, *Net);
+  return cmdConvert(O, *Net);
 }
 } // namespace
 
@@ -710,11 +676,9 @@ int main(int Argc, char **Argv) {
   const char *Flags = commandFlags(Command);
   if (!Flags)
     return usage();
-  const std::vector<std::string> Known =
-      splitWhitespace(std::string(Flags) + " metrics-json trace-json");
-  for (const auto &[Key, Value] : O.Values)
-    if (std::find(Known.begin(), Known.end(), Key) == Known.end())
-      return cliError("unknown option --" + Key);
+  const std::string Known = std::string(Flags) + " metrics-json trace-json";
+  if (Status S = O.check(Known); !S)
+    return cliError(S.message());
 
   const std::string MetricsPath = O.get("metrics-json", "");
   const std::string TracePath = O.get("trace-json", "");
