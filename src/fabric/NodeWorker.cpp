@@ -67,8 +67,7 @@ struct ExecutorKey {
            Solver.MaxScale == O.Solver.MaxScale &&
            Solver.MaxNewtonIters == O.Solver.MaxNewtonIters &&
            Solver.EnableStiffnessDetection ==
-               O.Solver.EnableStiffnessDetection &&
-           Solver.AdaptiveJacobianReuse == O.Solver.AdaptiveJacobianReuse;
+               O.Solver.EnableStiffnessDetection;
   }
 };
 

@@ -35,6 +35,15 @@ const char *messageTypeName(MessageType Type) {
 // Framing
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The frame checksum: CRC-32 over the type byte, then the payload.
+uint32_t frameCrc(uint8_t Type, const uint8_t *Payload, size_t Length) {
+  return crc32(Payload, Length, crc32(&Type, 1));
+}
+
+} // namespace
+
 std::vector<uint8_t> encodeFrame(MessageType Type,
                                  const std::vector<uint8_t> &Payload) {
   // The length field is a u32 and receivers cap it at
@@ -54,7 +63,8 @@ std::vector<uint8_t> encodeFrame(MessageType Type,
   W.writeU8(static_cast<uint8_t>(Type));
   W.writeU8(0); // Reserved.
   W.writeU32(static_cast<uint32_t>(Payload.size()));
-  W.writeU32(crc32(Payload.data(), Payload.size()));
+  W.writeU32(frameCrc(static_cast<uint8_t>(Type), Payload.data(),
+                      Payload.size()));
   std::vector<uint8_t> Frame = W.take();
   Frame.insert(Frame.end(), Payload.begin(), Payload.end());
   return Frame;
@@ -89,9 +99,9 @@ ErrorOr<FrameView> parseFrame(const std::vector<uint8_t> &Frame,
         "fabric: frame size %zu does not match header (%zu expected)",
         Frame.size(), FrameHeaderBytes + size_t(Length)));
   const uint8_t *Payload = Frame.data() + FrameHeaderBytes;
-  if (crc32(Payload, Length) != Crc)
+  if (frameCrc(Type, Payload, Length) != Crc)
     return Status::failure(
-        formatString("fabric: payload CRC mismatch on %s frame",
+        formatString("fabric: CRC mismatch on %s frame",
                      messageTypeName(static_cast<MessageType>(Type))));
   FrameView V;
   V.Type = static_cast<MessageType>(Type);

@@ -9,7 +9,10 @@
 /// its framing. Every frame is:
 ///
 ///   magic 'PSGF' (u32) | version (u16) | type (u8) | reserved (u8) |
-///   payload length (u32) | payload CRC-32 (u32) | payload bytes
+///   payload length (u32) | CRC-32 of type and payload (u32) | payload
+///
+/// The CRC covers the type byte too: a frame whose type was corrupted
+/// into another valid type is rejected, not handed to the wrong decoder.
 ///
 /// Payloads are encoded with the io/WireIo codecs (little-endian,
 /// doubles as bit patterns). parseFrame rejects bad magic, unknown
@@ -40,7 +43,7 @@
 namespace psg {
 
 constexpr uint32_t FabricMagic = 0x46475350u; // "PSGF" little-endian.
-constexpr uint16_t FabricVersion = 1;
+constexpr uint16_t FabricVersion = 2;
 
 enum class MessageType : uint8_t {
   Hello = 1,        ///< Worker announces itself / handshake reply.

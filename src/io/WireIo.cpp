@@ -123,11 +123,11 @@ bool WireReader::readDoubles(std::vector<double> &V, size_t MaxCount) {
 // CRC-32
 //===----------------------------------------------------------------------===//
 
-uint32_t crc32(const uint8_t *Data, size_t Size) {
+uint32_t crc32(const uint8_t *Data, size_t Size, uint32_t Crc) {
   // Reflected IEEE 802.3 polynomial, bitwise formulation. Frames are
   // small control messages or amortized over large payloads, so the
   // table-free variant is plenty fast and keeps the code dependency-free.
-  uint32_t Crc = 0xffffffffu;
+  Crc ^= 0xffffffffu;
   for (size_t I = 0; I < Size; ++I) {
     Crc ^= Data[I];
     for (int Bit = 0; Bit < 8; ++Bit)
@@ -184,19 +184,17 @@ void encodeSolverOptions(WireWriter &W, const SolverOptions &O) {
   W.writeF64(O.MaxScale);
   W.writeU32(O.MaxNewtonIters);
   W.writeU8(O.EnableStiffnessDetection ? 1 : 0);
-  W.writeU8(O.AdaptiveJacobianReuse ? 1 : 0);
 }
 
 bool decodeSolverOptions(WireReader &R, SolverOptions &O) {
-  uint8_t Stiff = 0, Adaptive = 0;
+  uint8_t Stiff = 0;
   if (!(R.readF64(O.AbsTol) && R.readF64(O.RelTol) &&
         R.readF64(O.InitialStep) && R.readF64(O.MaxStep) &&
         R.readU64(O.MaxSteps) && R.readF64(O.Safety) &&
         R.readF64(O.MinScale) && R.readF64(O.MaxScale) &&
-        R.readU32(O.MaxNewtonIters) && R.readU8(Stiff) && R.readU8(Adaptive)))
+        R.readU32(O.MaxNewtonIters) && R.readU8(Stiff)))
     return false;
   O.EnableStiffnessDetection = Stiff != 0;
-  O.AdaptiveJacobianReuse = Adaptive != 0;
   return true;
 }
 

@@ -86,9 +86,10 @@ private:
   size_t Pos = 0;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial) over \p Size bytes; the per-frame
-/// corruption check of the fabric framing layer.
-uint32_t crc32(const uint8_t *Data, size_t Size);
+/// CRC-32 (IEEE 802.3 polynomial) over \p Size bytes, continuing from
+/// \p Crc: crc32(B, N, crc32(A, M)) is the CRC of A followed by B. The
+/// per-frame corruption check of the fabric framing layer.
+uint32_t crc32(const uint8_t *Data, size_t Size, uint32_t Crc = 0);
 
 //===----------------------------------------------------------------------===//
 // Payload codecs. Encoders never fail; decoders return false on

@@ -193,19 +193,15 @@ bool MultistepDriver::solveBdfCorrector(double Hs, double TNew,
   const unsigned Q = Order;
   const double Beta = BdfBeta[Q];
 
-  // Jacobian refresh policy. Adaptive (default): keep the Jacobian for
-  // as long as the observed corrector convergence rate stays below
-  // SlowNewtonRate — on mildly nonlinear problems the same matrix serves
-  // hundreds of steps — with a step-count cap as the safety net against
-  // a matrix that converges adequately but drifts. Fixed: the historical
-  // 25-step cadence, kept selectable for like-for-like comparisons.
+  // Jacobian refresh policy: keep the Jacobian for as long as the
+  // observed corrector convergence rate stays below SlowNewtonRate — on
+  // mildly nonlinear problems the same matrix serves hundreds of steps —
+  // with a step-count cap as the safety net against a matrix that
+  // converges adequately but drifts (ODEPACK/VODE-style).
   constexpr double SlowNewtonRate = 0.3;
-  constexpr uint64_t AdaptiveMaxJacobianAge = 250;
-  constexpr uint64_t FixedMaxJacobianAge = 25;
-  const bool Stale = Opts.AdaptiveJacobianReuse
-                         ? (LastNewtonRate > SlowNewtonRate ||
-                            StepsSinceJacobian > AdaptiveMaxJacobianAge)
-                         : StepsSinceJacobian > FixedMaxJacobianAge;
+  constexpr uint64_t MaxJacobianAge = 250;
+  const bool Stale = LastNewtonRate > SlowNewtonRate ||
+                     StepsSinceJacobian > MaxJacobianAge;
   if (!HaveJacobian || Stale) {
     Stats.RhsEvaluations += Sys->jacobian(T, Y.data(), FHist[0].data(), J);
     ++Stats.JacobianEvaluations;

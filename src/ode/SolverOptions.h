@@ -30,13 +30,6 @@ struct SolverOptions {
   double MaxScale = 5.0;   ///< Max growth factor per step.
   unsigned MaxNewtonIters = 7; ///< Implicit solver iteration cap.
   bool EnableStiffnessDetection = true; ///< DOPRI5 stiffness test on/off.
-  /// Multistep (BDF/LSODA/VODE) Newton Jacobian refresh policy: when
-  /// true (default) the Jacobian is reused for as long as the observed
-  /// corrector convergence rate stays fast, with a large step-count
-  /// safety cap (ODEPACK/VODE-style); when false it is refreshed on the
-  /// historical fixed 25-step cadence. The switch exists so the two
-  /// policies can be compared like-for-like (bench_micro_rhs does).
-  bool AdaptiveJacobianReuse = true;
 };
 
 } // namespace psg

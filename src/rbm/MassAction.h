@@ -225,14 +225,13 @@ public:
   /// The pre-partition evaluation kernels: one loop over reactions in
   /// original order, branching on kinetics kind per reaction, dense
   /// Jacobian resize per call. Kept callable as the differential oracle
-  /// for the kind-partitioned kernels (tests/rhs_kernels_test.cpp pins
-  /// rhs() bit-exact against rhsReference()) and as the benchmark
-  /// reference variant (bench_micro_rhs).
+  /// for the kind-partitioned kernels: tests/rhs_kernels_test.cpp pins
+  /// rhs() and analyticJacobian() bit-exact against these.
   void rhsReference(double T, const double *Y, double *DyDt) const;
   void analyticJacobianReference(double T, const double *Y, Matrix &J) const;
 
   /// Routes rhs()/analyticJacobian() through the reference kernels
-  /// process-wide. Test/benchmark hook only: it is how the oracle suite
+  /// process-wide. Test hook only: it is how the oracle suite
   /// drives entire simulator personalities through both evaluation paths
   /// without a parallel plumbing of the choice through every engine.
   static void setUseReferenceKernelsForTesting(bool Enable);

@@ -18,6 +18,8 @@
 //    the node rejoins and its stale-epoch results rescue the shards.
 //  * A shard whose owners keep dying exhausts MaxShardAttempts and is
 //    delivered as Aborted outcomes — a counted loss, never a gap.
+//  * Distribution costs no modeled device time: one node matches the
+//    in-process executor and four nodes divide the modeled makespan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +31,9 @@
 #include "sim/Oracle.h"
 
 #include "rbm/CuratedModels.h"
+#include "sched/ShardedExecutor.h"
 #include "support/Metrics.h"
+#include "support/Random.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
@@ -326,6 +330,92 @@ TEST(FabricTest, EngineFabricPathMatchesSingleProcessRun) {
     Status S = compareOutcomesBitExact(Report.Outcomes[I], Reference[I]);
     EXPECT_TRUE(bool(S)) << "outcome " << I << ": " << S.message();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Modeled scaling: the wire moves bytes, not modeled device time.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Curated defaults with ±10% rate-constant jitter, the coherent-
+/// neighbour regime of the paper's batches.
+std::vector<Parameterization> jitteredSweep(const ReactionNetwork &Net,
+                                            size_t Sims, uint64_t Seed) {
+  Rng Generator(Seed);
+  std::vector<Parameterization> Params(Sims);
+  for (Parameterization &P : Params) {
+    P.InitialState = Net.initialState();
+    for (size_t R = 0; R < Net.numReactions(); ++R)
+      P.RateConstants.push_back(Net.reaction(R).RateConstant *
+                                (0.9 + 0.2 * Generator.uniform()));
+  }
+  return Params;
+}
+
+/// Modeled throughput of the in-process executor on one gpu-coarse
+/// device under runDistributed's engine options: the measured sweep
+/// after a warm-up sweep on the same executor.
+double inProcessThroughput(const ReactionNetwork &Net,
+                           const std::vector<Parameterization> &Params,
+                           uint64_t Chunk) {
+  EngineOptions Opts;
+  Opts.SubBatchSize = Chunk;
+  Opts.EndTime = 2.0;
+  Opts.OutputSamples = 3;
+  Opts.Sched.Devices = {"gpu-coarse"};
+  Opts.Sched.ChunkSize = Chunk;
+  Opts.Sched.WorkersPerDevice = 1;
+  ShardedExecutor Executor(CostModel::paperSetup(), Opts, Opts.Sched);
+  ShardScheduleReport Report;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    size_t Next = 0;
+    ParameterizationSource Source = sourceOver(Params, Next);
+    IndexedSink Sink(Params.size());
+    Report = Executor.streamParameterizations(Net, nullptr, Source, Sink);
+  }
+  EXPECT_EQ(Report.Stream.Failures, 0u);
+  return Report.modeledThroughputPerSecond();
+}
+
+} // namespace
+
+TEST(FabricTest, LoopbackNodesScaleModeledThroughput) {
+  // One loopback node keeps at least 0.8x of the in-process executor's
+  // modeled throughput, and four nodes divide the makespan: more than
+  // 1.5x one node, every node busy. Shard imbalance is not bounded here:
+  // each grant goes to whichever node has a free queue slot, so how the
+  // 16 shards split across four nodes follows host timing.
+  const uint64_t Chunk = 32;
+  const ReactionNetwork Brusselator = makeBrusselatorNetwork();
+  const ReactionNetwork DecayChain = makeDecayChainNetwork(8, 0.5);
+  metrics().reset();
+  for (const ReactionNetwork *Net : {&Brusselator, &DecayChain}) {
+    const std::vector<Parameterization> Params = jitteredSweep(*Net, 512, 42);
+    auto distributed = [&](unsigned Nodes) {
+      const std::string Tag =
+          formatString("%s, %u node(s)", Net->name().c_str(), Nodes);
+      IndexedSink Sink(Params.size());
+      const DistributedRun R = runDistributed(
+          *Net, Params, "gpu-coarse", Nodes, /*DevicesPerNode=*/1, Chunk, Sink);
+      EXPECT_EQ(R.Report.Stream.Simulations, Params.size()) << Tag;
+      EXPECT_EQ(R.Report.Stream.Failures, 0u) << Tag;
+      EXPECT_EQ(R.Report.LostSimulations, 0u) << Tag;
+      EXPECT_EQ(R.Report.NodeDeaths, 0u) << Tag;
+      for (const NodeScheduleReport &N : R.Report.Nodes)
+        EXPECT_GT(N.Shards, 0u) << Tag << ", node " << N.Node;
+      return R.Report;
+    };
+
+    const double InProcess = inProcessThroughput(*Net, Params, Chunk);
+    const double One = distributed(1).modeledThroughputPerSecond();
+    EXPECT_GE(One, 0.8 * InProcess) << Net->name();
+    EXPECT_GT(distributed(4).modeledThroughputPerSecond(), 1.5 * One)
+        << Net->name();
+  }
+  const MetricsSnapshot M = metrics().snapshot();
+  EXPECT_GT(M.counterValue("psg.fabric.frames_sent"), 0u);
+  EXPECT_GT(M.counterValue("psg.fabric.bytes_sent"), 0u);
 }
 
 //===----------------------------------------------------------------------===//

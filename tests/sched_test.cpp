@@ -7,8 +7,9 @@
 // personality and every device count; a shard attempt that dies
 // mid-sweep is re-queued onto another device and every simulation is
 // still delivered exactly once; a shard that exhausts its attempt budget
-// surfaces as Aborted outcomes, never as a gap; and idle devices steal
-// queued work from stragglers.
+// surfaces as Aborted outcomes, never as a gap; idle devices steal
+// queued work from stragglers; and a homogeneous fleet divides the
+// modeled makespan among its devices.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "sim/Oracle.h"
 
 #include "rbm/CuratedModels.h"
+#include "support/Random.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -458,6 +460,75 @@ TEST(ShardedExecutorTest, ModeledTransferPricesThePackedShardImage) {
   EXPECT_NEAR(Modeled, Expected, 1e-12 * Expected);
   EXPECT_GT(Hidden, 0.0);
   EXPECT_LE(Hidden, Modeled);
+}
+
+//===----------------------------------------------------------------------===//
+// Modeled scaling: the devices of a fleet run concurrently in the model,
+// even where the host serializes them.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Curated defaults with ±10% rate-constant jitter, the coherent-
+/// neighbour regime of the paper's batches.
+std::vector<Parameterization> jitteredSweep(const ReactionNetwork &Net,
+                                            size_t Sims, uint64_t Seed) {
+  Rng Generator(Seed);
+  std::vector<Parameterization> Params(Sims);
+  for (Parameterization &P : Params) {
+    P.InitialState = Net.initialState();
+    for (size_t R = 0; R < Net.numReactions(); ++R)
+      P.RateConstants.push_back(Net.reaction(R).RateConstant *
+                                (0.9 + 0.2 * Generator.uniform()));
+  }
+  return Params;
+}
+
+/// The measured sweep of \p Params on \p Devices gpu-coarse devices, one
+/// host worker each, after a warm-up sweep on the same executor.
+ShardScheduleReport scalingSweep(const ReactionNetwork &Net,
+                                 const std::vector<Parameterization> &Params,
+                                 unsigned Devices) {
+  EngineOptions Opts = shardedEngineOptions(Devices, "gpu-coarse", 32);
+  Opts.OutputSamples = 0;
+  Opts.Solver.RelTol = 1e-6;
+  Opts.Solver.AbsTol = 1e-9;
+  ShardedExecutor Executor(CostModel::paperSetup(), Opts, Opts.Sched);
+  ShardScheduleReport Report;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    size_t Next = 0;
+    ParameterizationSource Source = sourceOver(Params, Next);
+    IndexedSink Sink(Params.size());
+    Report = Executor.streamParameterizations(Net, nullptr, Source, Sink);
+  }
+  return Report;
+}
+
+} // namespace
+
+TEST(ShardedExecutorTest, HomogeneousFleetScalesModeledThroughput) {
+  // Four identical devices must divide the modeled makespan: more than
+  // 1.5x the one-device throughput, with the idlest device busy for at
+  // least half of the busiest one's modeled time.
+  const ReactionNetwork Brusselator = makeBrusselatorNetwork();
+  const ReactionNetwork DecayChain = makeDecayChainNetwork(8, 0.5);
+  for (const ReactionNetwork *Net : {&Brusselator, &DecayChain}) {
+    const std::vector<Parameterization> Params = jitteredSweep(*Net, 512, 42);
+    double OneDevice = 0.0;
+    for (unsigned Devices : {1u, 4u}) {
+      const std::string Tag =
+          formatString("%s, %u device(s)", Net->name().c_str(), Devices);
+      const ShardScheduleReport R = scalingSweep(*Net, Params, Devices);
+      EXPECT_EQ(R.Stream.Simulations, Params.size()) << Tag;
+      EXPECT_EQ(R.Stream.Failures, 0u) << Tag;
+      EXPECT_EQ(R.LostSimulations, 0u) << Tag;
+      EXPECT_LT(R.ShardImbalance, 0.5) << Tag;
+      if (Devices == 1)
+        OneDevice = R.modeledThroughputPerSecond();
+      else
+        EXPECT_GT(R.modeledThroughputPerSecond(), 1.5 * OneDevice) << Tag;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

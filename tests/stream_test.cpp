@@ -288,7 +288,7 @@ TEST(StreamEngineTest, ResidencyStaysBoundedOnLargeSweep) {
   EXPECT_EQ(Report.SubBatches, (Sweep + 511) / 512);
   EXPECT_LE(Report.PeakResidentOutcomes, Opts.InFlight * Opts.SubBatchSize);
   EXPECT_GE(Report.PeakResidentOutcomes, Opts.SubBatchSize);
-  // The bound is also exported as a gauge for CI assertions.
+  // The bound is also exported as a gauge.
   EXPECT_DOUBLE_EQ(
       Report.Metrics.gaugeValue("psg.engine.peak_resident_outcomes"),
       static_cast<double>(Report.PeakResidentOutcomes));

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliOptions.h"
+
 #include "support/Csv.h"
 #include "support/Error.h"
 #include "support/Logging.h"
@@ -16,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <vector>
 
 using namespace psg;
 
@@ -286,6 +289,131 @@ TEST(StringUtilsTest, ParseUnsigned) {
 TEST(StringUtilsTest, FormatString) {
   EXPECT_EQ(formatString("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(formatString("%.2f", 3.14159), "3.14");
+}
+
+//===----------------------------------------------------------------------===//
+// Command-line flags (tools/CliOptions.h, shared by psg-cli and psg-check).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Options::parse over \p Args, the arguments after a command name.
+ErrorOr<Options> parseArgs(std::vector<const char *> Args,
+                           const std::string &Spec) {
+  return Options::parse(static_cast<int>(Args.size()), Args.data(), 0, Spec);
+}
+
+/// The message Options::parse fails with, or "" when it succeeds.
+std::string parseError(std::vector<const char *> Args,
+                       const std::string &Spec) {
+  ErrorOr<Options> O = parseArgs(std::move(Args), Spec);
+  return O ? "" : O.message();
+}
+
+} // namespace
+
+TEST(CliOptionsTest, EveryValueKindReadsItsValue) {
+  ErrorOr<Options> O = parseArgs(
+      {"model.txt", "--name", "x", "--r", "-2.5", "--p", "1e-3", "--u", "0",
+       "--c", "7", "--s"},
+      "name r:real p:pos u:uint c:count s:switch unused");
+  ASSERT_TRUE(O) << O.message();
+  EXPECT_EQ(O->Positional, std::vector<std::string>{"model.txt"});
+  EXPECT_EQ(O->get("name", ""), "x");
+  EXPECT_EQ(O->getDouble("r", 0.0), -2.5);
+  EXPECT_EQ(O->getDouble("p", 0.0), 1e-3);
+  EXPECT_EQ(O->getUnsigned("u", 9), 0u);
+  EXPECT_EQ(O->getUnsigned("c", 0), 7u);
+  EXPECT_TRUE(O->has("s"));
+  EXPECT_FALSE(O->has("unused"));
+  EXPECT_EQ(O->getDouble("unused", 4.5), 4.5);
+}
+
+TEST(CliOptionsTest, EveryValueKindRejectsAWrongValue) {
+  const std::string Spec = "r:real p:pos u:uint c:count";
+  EXPECT_EQ(parseError({"--r", "abc"}, Spec),
+            "--r needs a finite number, got 'abc'");
+  EXPECT_EQ(parseError({"--r", "nan"}, Spec),
+            "--r needs a finite number, got 'nan'");
+  EXPECT_EQ(parseError({"--p", "inf"}, Spec),
+            "--p needs a finite number, got 'inf'");
+  EXPECT_EQ(parseError({"--p", "0"}, Spec),
+            "--p needs a number above 0, got '0'");
+  EXPECT_EQ(parseError({"--u", "-1"}, Spec),
+            "--u needs an unsigned integer, got '-1'");
+  EXPECT_EQ(parseError({"--c", "2.5"}, Spec),
+            "--c needs an unsigned integer, got '2.5'");
+  EXPECT_EQ(parseError({"--c", "0"}, Spec),
+            "--c needs an integer above 0, got '0'");
+}
+
+TEST(CliOptionsTest, UnknownFlagIsRejected) {
+  EXPECT_EQ(parseError({"curated:repressilator", "--bogus", "3"},
+                       cliCommandFlags("simulate")),
+            "unknown option --bogus");
+  // A flag of another command is unknown too.
+  EXPECT_EQ(parseError({"--heartbeat", "1"}, cliCommandFlags("simulate")),
+            "unknown option --heartbeat");
+  EXPECT_EQ(cliCommandFlags("bogus"), nullptr);
+  EXPECT_EQ(checkCommandFlags("bogus"), nullptr);
+}
+
+TEST(CliOptionsTest, ValueFlagWithoutValueIsRejected) {
+  const std::string Simulate = cliCommandFlags("simulate");
+  // At the end of the arguments: no file named "1" gets written.
+  EXPECT_EQ(parseError({"curated:repressilator", "--batch", "8", "--tend",
+                        "1", "--out"},
+                       Simulate),
+            "--out needs a value");
+  // Followed by another flag: no simulator named "1" gets looked up.
+  EXPECT_EQ(
+      parseError({"curated:repressilator", "--simulator", "--batch", "8"},
+                 Simulate),
+      "--simulator needs a value");
+  EXPECT_EQ(parseError({"--seed"}, checkCommandFlags("fuzz")),
+            "--seed needs a value");
+}
+
+TEST(CliOptionsTest, SwitchLeavesTheNextArgumentAnOperand) {
+  ErrorOr<Options> O = parseArgs(
+      {"curated:brusselator", "--reaction", "0", "--lo", "0.5", "--hi", "2",
+       "--points", "3", "--log", "curated:x"},
+      cliCommandFlags("psa1d"));
+  ASSERT_TRUE(O) << O.message();
+  EXPECT_TRUE(O->has("log"));
+  EXPECT_EQ(O->Positional,
+            (std::vector<std::string>{"curated:brusselator", "curated:x"}));
+
+  O = parseArgs({"--stream", "m.txt", "--inflight", "2"},
+                cliCommandFlags("psa1d"));
+  ASSERT_TRUE(O) << O.message();
+  EXPECT_TRUE(O->has("stream"));
+  EXPECT_EQ(O->Positional, std::vector<std::string>{"m.txt"});
+  EXPECT_EQ(O->getUnsigned("inflight", 0), 2u);
+
+  O = parseArgs({"--perturb", "m.txt"}, cliCommandFlags("simulate"));
+  ASSERT_TRUE(O) << O.message();
+  EXPECT_TRUE(O->has("perturb"));
+  EXPECT_EQ(O->Positional, std::vector<std::string>{"m.txt"});
+}
+
+TEST(CliOptionsTest, DurationsAndTimeoutsMustBePositive) {
+  const std::pair<const char *, const char *> Durations[] = {
+      {"simulate", "accept-timeout"}, {"psa1d", "accept-timeout"},
+      {"worker", "connect-timeout"},  {"worker", "heartbeat"},
+      {"steady", "maxtime"},          {"steady", "timescale"}};
+  for (const auto &[Command, Flag] : Durations) {
+    const std::string Arg = std::string("--") + Flag;
+    for (const char *Value : {"-1", "0", "-0.5"})
+      EXPECT_EQ(parseError({"m.txt", Arg.c_str(), Value},
+                           cliCommandFlags(Command)),
+                Arg + " needs a number above 0, got '" + Value + "'")
+          << Command;
+    EXPECT_EQ(parseError({"m.txt", Arg.c_str(), "0.25"},
+                         cliCommandFlags(Command)),
+              "")
+        << Command;
+  }
 }
 
 //===----------------------------------------------------------------------===//

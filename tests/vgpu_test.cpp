@@ -310,7 +310,7 @@ TEST(HostRuntimeConformanceTest, CountersAfterNestedChildGrids) {
 TEST(CostModelTest, BackendNamesAreStable) {
   // Every enum member is pinned: backendName is an exhaustive switch (a
   // new Backend without a name fails to compile), and these strings are
-  // load-bearing in metrics JSON and bench baselines.
+  // load-bearing in metrics JSON.
   EXPECT_STREQ(backendName(Backend::CpuSerial), "cpu-serial");
   EXPECT_STREQ(backendName(Backend::GpuCoarse), "gpu-coarse");
   EXPECT_STREQ(backendName(Backend::GpuFine), "gpu-fine");

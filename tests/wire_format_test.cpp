@@ -35,7 +35,6 @@ SolverOptions sampleSolverOptions() {
   O.MaxScale = 9.7;
   O.MaxNewtonIters = 11;
   O.EnableStiffnessDetection = false;
-  O.AdaptiveJacobianReuse = true;
   return O;
 }
 
@@ -238,7 +237,6 @@ TEST(WireIoTest, SolverOptionsAndStatsRoundTrip) {
   EXPECT_EQ(Opts.MaxSteps, Opts2.MaxSteps);
   EXPECT_EQ(Opts.MaxNewtonIters, Opts2.MaxNewtonIters);
   EXPECT_EQ(Opts.EnableStiffnessDetection, Opts2.EnableStiffnessDetection);
-  EXPECT_EQ(Opts.AdaptiveJacobianReuse, Opts2.AdaptiveJacobianReuse);
   expectStatsEqual(Stats, Stats2);
   expectSameBits(T.ComputeSeconds, T2.ComputeSeconds);
   expectSameBits(T.total(), T2.total());

@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The `--key value` / `--flag` parser shared by psg-cli and psg-check.
-// Each command declares the flags it takes and the kind of value each
-// needs; Options::check() rejects anything else before the command does
-// any work, so a mistyped flag or value becomes a message and exit code 2
-// instead of an abort from deep inside a run.
+// The `--key value` / `--switch` parser shared by psg-cli and psg-check,
+// and the flags each of their commands takes. Options::parse() rejects a
+// flag the command does not take, a value flag with no value and a value
+// of the wrong kind before the command does any work, so a mistake
+// becomes a message and exit code 2 instead of a guessed value or an
+// abort from deep inside a run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,45 +26,47 @@
 
 namespace psg {
 
-/// Parsed `--key value` / `--flag` arguments plus positional operands.
+/// Parsed `--key value` / `--switch` arguments plus positional operands.
 struct Options {
   std::vector<std::string> Positional;
   std::map<std::string, std::string> Values;
 
-  static Options parse(int Argc, char **Argv, int Begin) {
-    Options O;
-    for (int I = Begin; I < Argc; ++I) {
-      std::string Arg = Argv[I];
-      if (Arg.rfind("--", 0) == 0) {
-        const std::string Key = Arg.substr(2);
-        if (I + 1 < Argc && std::string(Argv[I + 1]).rfind("--", 0) != 0)
-          O.Values[Key] = Argv[++I];
-        else
-          O.Values[Key].assign(1, '1');
-      } else {
-        O.Positional.push_back(Arg);
-      }
-    }
-    return O;
-  }
-
-  /// Checks every given flag against \p Spec: space-separated flag names,
-  /// each optionally suffixed with the kind of value it needs: `:real` (a
-  /// finite number), `:pos` (a finite number above 0), `:uint` (an
-  /// unsigned integer) or `:count` (an unsigned integer above 0). Fails on
-  /// a flag \p Spec does not name or a value of the wrong kind.
-  Status check(const std::string &Spec) const {
+  /// Parses Argv[Begin, Argc) against \p Spec: space-separated flag
+  /// names, each optionally suffixed with the kind of value it needs:
+  /// `:real` (a finite number), `:pos` (a finite number above 0), `:uint`
+  /// (an unsigned integer) or `:count` (an unsigned integer above 0); a
+  /// bare name takes any value. A `:switch` flag takes no value and never
+  /// consumes the argument after it. Every argument that is not a flag
+  /// is an operand. Fails on a flag \p Spec does not name, a value flag
+  /// followed by another flag or by nothing, and a value of the wrong
+  /// kind.
+  static ErrorOr<Options> parse(int Argc, const char *const *Argv, int Begin,
+                                const std::string &Spec) {
     std::map<std::string, std::string> Kinds;
     for (const std::string &Entry : splitWhitespace(Spec)) {
       const size_t Colon = Entry.find(':');
       Kinds[Entry.substr(0, Colon)] =
           Colon == std::string::npos ? "" : Entry.substr(Colon + 1);
     }
-    for (const auto &[Key, Value] : Values) {
+    Options O;
+    for (int I = Begin; I < Argc; ++I) {
+      const std::string Arg = Argv[I];
+      if (Arg.rfind("--", 0) != 0) {
+        O.Positional.push_back(Arg);
+        continue;
+      }
+      const std::string Key = Arg.substr(2);
       auto It = Kinds.find(Key);
       if (It == Kinds.end())
         return Status::failure("unknown option --" + Key);
       const std::string &Kind = It->second;
+      if (Kind == "switch") {
+        O.Values.try_emplace(Key);
+        continue;
+      }
+      if (I + 1 == Argc || std::string(Argv[I + 1]).rfind("--", 0) == 0)
+        return Status::failure("--" + Key + " needs a value");
+      const std::string Value = Argv[++I];
       double Real = 0.0;
       unsigned Uint = 0;
       const char *Needs = nullptr;
@@ -80,15 +83,16 @@ struct Options {
       if (Needs)
         return Status::failure("--" + Key + " needs " + Needs + ", got '" +
                                Value + "'");
+      O.Values[Key] = Value;
     }
-    return Status::success();
+    return O;
   }
 
   std::string get(const std::string &Key, const std::string &Def) const {
     auto It = Values.find(Key);
     return It == Values.end() ? Def : It->second;
   }
-  /// The value of a `:real` or `:pos` flag that passed check(), or \p Def.
+  /// The value of a `:real` or `:pos` flag, or \p Def.
   double getDouble(const std::string &Key, double Def) const {
     auto It = Values.find(Key);
     double V = Def;
@@ -96,8 +100,7 @@ struct Options {
       fatalError("--" + Key + " is read as a number; declare it :real");
     return V;
   }
-  /// The value of a `:uint` or `:count` flag that passed check(), or
-  /// \p Def.
+  /// The value of a `:uint` or `:count` flag, or \p Def.
   unsigned getUnsigned(const std::string &Key, unsigned Def) const {
     auto It = Values.find(Key);
     unsigned V = Def;
@@ -107,6 +110,47 @@ struct Options {
   }
   bool has(const std::string &Key) const { return Values.count(Key) > 0; }
 };
+
+/// The flags psg-cli's \p Command takes besides the global
+/// --metrics-json and --trace-json, in Options::parse() form; null for an
+/// unknown command.
+inline const char *cliCommandFlags(const std::string &Command) {
+  if (Command == "info" || Command == "convert")
+    return "";
+  if (Command == "simulate")
+    return "tend:pos samples:uint batch:count perturb:switch seed:uint "
+           "simulator out devices shard-chunk:uint coordinator:uint "
+           "nodes:count grant-size:uint accept-timeout:pos";
+  if (Command == "psa1d")
+    return "species reaction:uint lo:real hi:real log:switch points:count "
+           "reporter simulator tend:pos samples:uint out stream:switch "
+           "inflight:uint sub-batch:uint devices shard-chunk:uint "
+           "coordinator:uint nodes:count grant-size:uint "
+           "accept-timeout:pos";
+  if (Command == "worker")
+    return "connect connect-timeout:pos simulator devices shard-chunk:uint "
+           "heartbeat:pos";
+  if (Command == "steady")
+    return "maxtime:pos timescale:pos";
+  if (Command == "generate")
+    return "species:count reactions:count seed:uint out";
+  return nullptr;
+}
+
+/// The flags psg-check's \p Command takes, in Options::parse() form;
+/// null for an unknown command.
+inline const char *checkCommandFlags(const std::string &Command) {
+  if (Command == "golden")
+    return "solver";
+  if (Command == "fuzz")
+    return "seed:uint cases:uint tend:pos samples:uint compare-tol:pos "
+           "time-budget:real repro-dir stats-json";
+  if (Command == "replay")
+    return "compare-tol:pos";
+  if (Command == "properties")
+    return "";
+  return nullptr;
+}
 
 } // namespace psg
 

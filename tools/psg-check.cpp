@@ -308,40 +308,28 @@ int cmdProperties(const Options &) {
   return Failures == 0 ? 0 : 1;
 }
 
-/// The flags \p Command takes, in Options::check() form; null for an
-/// unknown command.
-const char *commandFlags(const std::string &Command) {
-  if (Command == "golden")
-    return "solver";
-  if (Command == "fuzz")
-    return "seed:uint cases:uint tend:pos samples:uint compare-tol:pos "
-           "time-budget:real repro-dir stats-json";
-  if (Command == "replay")
-    return "compare-tol:pos";
-  if (Command == "properties")
-    return "";
-  return nullptr;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
   const std::string Command = Argv[1];
-  Options O = Options::parse(Argc, Argv, 2);
-  const char *Flags = commandFlags(Command);
+  const char *Flags = checkCommandFlags(Command);
   if (!Flags)
     return usage();
-  if (Status S = O.check(Flags); !S)
-    return checkError(S.message());
+  const ErrorOr<Options> O = Options::parse(Argc, Argv, 2, Flags);
+  if (!O)
+    return checkError(O.message());
+  // replay reads the case file named by its operand; no other command
+  // takes one.
+  const size_t Operands = Command == "replay" ? 1 : 0;
+  if (O->Positional.size() > Operands)
+    return checkError("unexpected operand '" + O->Positional[Operands] + "'");
   if (Command == "golden")
-    return cmdGolden(O);
+    return cmdGolden(*O);
   if (Command == "fuzz")
-    return cmdFuzz(O);
+    return cmdFuzz(*O);
   if (Command == "replay")
-    return cmdReplay(O);
-  if (Command == "properties")
-    return cmdProperties(O);
-  return usage();
+    return cmdReplay(*O);
+  return cmdProperties(*O);
 }

@@ -620,37 +620,18 @@ int cmdConvert(const Options &O, const ReactionNetwork &Net) {
   return 0;
 }
 
-/// The flags \p Command takes besides the global --metrics-json and
-/// --trace-json, in Options::check() form; null for an unknown command.
-const char *commandFlags(const std::string &Command) {
-  if (Command == "info" || Command == "convert")
-    return "";
-  if (Command == "simulate")
-    return "tend:pos samples:uint batch:count perturb seed:uint simulator "
-           "out devices shard-chunk:uint coordinator:uint nodes:count "
-           "grant-size:uint accept-timeout:real";
-  if (Command == "psa1d")
-    return "species reaction:uint lo:real hi:real log points:count "
-           "reporter simulator tend:pos samples:uint out stream inflight:uint "
-           "sub-batch:uint devices shard-chunk:uint coordinator:uint "
-           "nodes:count grant-size:uint accept-timeout:real";
-  if (Command == "worker")
-    return "connect connect-timeout:real simulator devices shard-chunk:uint "
-           "heartbeat:real";
-  if (Command == "steady")
-    return "maxtime:real timescale:real";
-  if (Command == "generate")
-    return "species:count reactions:count seed:uint out";
-  return nullptr;
-}
-
 int runCommand(const std::string &Command, const Options &O) {
+  // generate takes no operand, convert an input and an output path, and
+  // every other command the model it reads.
+  const size_t Operands = Command == "generate" ? 0
+                          : Command == "convert" ? 2
+                                                 : 1;
+  if (O.Positional.size() > Operands)
+    return cliError("unexpected operand '" + O.Positional[Operands] + "'");
+  if (O.Positional.size() < Operands)
+    return usage();
   if (Command == "generate")
     return cmdGenerate(O);
-  // Every other command reads the model named by its first operand
-  // (convert also takes an output path).
-  if (O.Positional.size() != (Command == "convert" ? 2u : 1u))
-    return usage();
   auto Net = loadModel(O.Positional[0]);
   if (!Net)
     return cliError(Net.message());
@@ -672,20 +653,20 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
   const std::string Command = Argv[1];
-  Options O = Options::parse(Argc, Argv, 2);
-  const char *Flags = commandFlags(Command);
+  const char *Flags = cliCommandFlags(Command);
   if (!Flags)
     return usage();
-  const std::string Known = std::string(Flags) + " metrics-json trace-json";
-  if (Status S = O.check(Known); !S)
-    return cliError(S.message());
+  const ErrorOr<Options> O = Options::parse(
+      Argc, Argv, 2, std::string(Flags) + " metrics-json trace-json");
+  if (!O)
+    return cliError(O.message());
 
-  const std::string MetricsPath = O.get("metrics-json", "");
-  const std::string TracePath = O.get("trace-json", "");
+  const std::string MetricsPath = O->get("metrics-json", "");
+  const std::string TracePath = O->get("trace-json", "");
   if (!TracePath.empty())
     trace().enable();
 
-  const int Rc = runCommand(Command, O);
+  const int Rc = runCommand(Command, *O);
 
   if (!MetricsPath.empty()) {
     if (Status S = saveMetricsJson(metrics().snapshot(), MetricsPath); !S)
