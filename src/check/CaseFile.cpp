@@ -10,7 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <cinttypes>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -65,14 +65,18 @@ ErrorOr<CheckCase> psg::parseCaseText(const std::string &Text) {
       return fail("missing check key");
     const std::string &Key = Fields[1];
     if (Key == "seed") {
-      if (Fields.size() != 3)
+      if (Fields.size() != 3 || !parseUnsigned(Fields[2], Case.Seed))
         return fail("expected 'check seed <n>'");
-      Case.Seed = std::strtoull(Fields[2].c_str(), nullptr, 10);
       SawSeed = true;
     } else if (Key == "window") {
       if (Fields.size() != 4 || !parseDouble(Fields[2], Case.StartTime) ||
           !parseDouble(Fields[3], Case.EndTime))
         return fail("expected 'check window <t0> <tend>'");
+      // NaN fails every comparison, so finiteness is tested first.
+      if (!std::isfinite(Case.StartTime) || !std::isfinite(Case.EndTime) ||
+          !(Case.StartTime < Case.EndTime))
+        return fail("window needs finite t0 < tend, got " + Fields[2] +
+                    " " + Fields[3]);
     } else if (Key == "samples") {
       unsigned Samples = 0;
       if (Fields.size() != 3 || !parseUnsigned(Fields[2], Samples))
@@ -83,10 +87,16 @@ ErrorOr<CheckCase> psg::parseCaseText(const std::string &Text) {
           !parseDouble(Fields[2], Case.Options.AbsTol) ||
           !parseDouble(Fields[3], Case.Options.RelTol))
         return fail("expected 'check tolerances <abs> <rel>'");
+      const double Abs = Case.Options.AbsTol, Rel = Case.Options.RelTol;
+      if (!std::isfinite(Abs) || !std::isfinite(Rel) || !(Abs > 0) ||
+          !(Rel > 0))
+        return fail("tolerances must be finite and above 0, got " +
+                    Fields[2] + " " + Fields[3]);
     } else if (Key == "maxsteps") {
-      if (Fields.size() != 3)
-        return fail("expected 'check maxsteps <n>'");
-      Case.Options.MaxSteps = std::strtoull(Fields[2].c_str(), nullptr, 10);
+      if (Fields.size() != 3 ||
+          !parseUnsigned(Fields[2], Case.Options.MaxSteps) ||
+          Case.Options.MaxSteps == 0)
+        return fail("expected 'check maxsteps <n>' with n >= 1");
     } else if (Key == "simulator") {
       if (Fields.size() != 3)
         return fail("expected 'check simulator <name>'");

@@ -28,9 +28,9 @@ void accumulateModeled(ModeledTime &Into, const ModeledTime &From) {
 }
 
 /// The sink behind run()/runParameterizations: re-materializes every
-/// streamed outcome into a caller-owned vector at its global index, so
-/// it tolerates the out-of-order delivery a completion-ordered sharded
-/// run produces as well as the in-order single-device stream.
+/// streamed outcome into a caller-owned vector at its global index.
+/// Single-device, sharded and fabric streams all deliver ascending
+/// contiguous sub-batches.
 class MaterializingSink final : public OutcomeSink {
 public:
   explicit MaterializingSink(std::vector<SimulationOutcome> &Into)

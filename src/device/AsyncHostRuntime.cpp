@@ -18,16 +18,13 @@ using namespace psg;
 // AsyncHostRuntime
 //===----------------------------------------------------------------------===//
 
-AsyncHostRuntime::AsyncHostRuntime(DeviceSpec Spec, unsigned HostWorkers,
-                                   const RuntimeOptions &Options)
-    : Device(std::move(Spec), HostWorkers),
-      Pool(Counters, Options.PoolMaxCachedBytes) {}
+AsyncHostRuntime::AsyncHostRuntime(DeviceSpec Spec, unsigned HostWorkers)
+    : Device(std::move(Spec), HostWorkers) {}
 
 AsyncHostRuntime::~AsyncHostRuntime() {
   // Streams must already be destroyed (they reference this runtime),
-  // but a drain here is harmless and the pool must not outlive us.
+  // but a drain here is harmless.
   synchronize();
-  Pool.drain();
 }
 
 std::unique_ptr<Stream> AsyncHostRuntime::createStream(std::string Name) {
@@ -48,7 +45,7 @@ std::unique_ptr<DeviceBuffer> AsyncHostRuntime::allocate(size_t Bytes) {
   MetricsRegistry &M = metrics();
   M.counter("psg.device.buffers").add();
   M.counter("psg.device.alloc_bytes").add(Bytes);
-  return std::make_unique<AsyncPooledBuffer>(*this, Bytes);
+  return std::make_unique<AsyncBuffer>(*this, Bytes);
 }
 
 LaunchRecord
@@ -83,10 +80,7 @@ void AsyncHostRuntime::unregisterStream(AsyncStream *S) {
                     LiveStreams.end());
 }
 
-AsyncPooledBuffer::~AsyncPooledBuffer() {
-  Parent.Counters.recordFree(Requested);
-  Parent.Pool.release(std::move(Storage));
-}
+AsyncBuffer::~AsyncBuffer() { Parent.Counters.recordFree(Storage.size()); }
 
 //===----------------------------------------------------------------------===//
 // AsyncStream

@@ -18,11 +18,6 @@
 /// waiting stream's worker until that ticket completes, which also
 /// carries the happens-before edge TSan checks.
 ///
-/// Device buffers come from a size-classed BufferPool so the
-/// per-shard allocate/free of the double-buffered pipelines stops
-/// churning the system allocator; the pool drains when the runtime is
-/// destroyed.
-///
 /// Kernel grids — stream launches and the blocking default-stream
 /// path — are serialized on one mutex: the modeled device has a single
 /// host pool, exactly as a real GPU serializes grids that saturate it.
@@ -35,7 +30,6 @@
 #ifndef PSG_DEVICE_ASYNCHOSTRUNTIME_H
 #define PSG_DEVICE_ASYNCHOSTRUNTIME_H
 
-#include "device/BufferPool.h"
 #include "device/DeviceRuntime.h"
 
 #include <atomic>
@@ -50,12 +44,11 @@ namespace psg {
 
 class AsyncStream;
 
-/// DeviceRuntime with worker-thread streams and pooled buffers.
+/// DeviceRuntime with worker-thread streams.
 class AsyncHostRuntime final : public DeviceRuntime {
 public:
   /// \p HostWorkers = 0 uses the hardware concurrency.
-  explicit AsyncHostRuntime(DeviceSpec Spec, unsigned HostWorkers = 0,
-                            const RuntimeOptions &Options = RuntimeOptions());
+  explicit AsyncHostRuntime(DeviceSpec Spec, unsigned HostWorkers = 0);
   ~AsyncHostRuntime() override;
 
   const char *name() const override { return "host-async"; }
@@ -85,7 +78,7 @@ public:
 
 private:
   friend class AsyncStream;
-  friend class AsyncPooledBuffer;
+  friend class AsyncBuffer;
 
   /// All grids funnel through here: one grid at a time on the shared
   /// host pool.
@@ -96,29 +89,24 @@ private:
 
   VirtualDevice Device;
   AtomicRuntimeCounters Counters;
-  BufferPool Pool;
 
   std::mutex LaunchMx; ///< Serializes kernel grids.
   std::mutex StreamsMx;
   std::vector<AsyncStream *> LiveStreams; ///< Guarded by StreamsMx.
 };
 
-/// Pool-backed "device memory". sizeBytes() is the requested size; the
-/// underlying storage is the covering power-of-two bin and returns to
-/// the pool on destruction.
-class AsyncPooledBuffer final : public DeviceBuffer {
+/// Host-memory "device memory", zero-filled at allocation.
+class AsyncBuffer final : public DeviceBuffer {
 public:
-  AsyncPooledBuffer(AsyncHostRuntime &Parent, size_t Bytes)
-      : Parent(Parent), Requested(Bytes),
-        Storage(Parent.Pool.acquire(Bytes)) {}
-  ~AsyncPooledBuffer() override;
+  AsyncBuffer(AsyncHostRuntime &Parent, size_t Bytes)
+      : Parent(Parent), Storage(Bytes, 0) {}
+  ~AsyncBuffer() override;
 
-  size_t sizeBytes() const override { return Requested; }
+  size_t sizeBytes() const override { return Storage.size(); }
   void *deviceData() override { return Storage.data(); }
 
 private:
   AsyncHostRuntime &Parent;
-  size_t Requested;
   std::vector<unsigned char> Storage;
 };
 

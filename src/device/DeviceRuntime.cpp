@@ -42,14 +42,14 @@ ErrorOr<RuntimeKind> psg::parseRuntimeKind(const std::string &Name) {
 
 ErrorOr<std::unique_ptr<DeviceRuntime>>
 psg::createDeviceRuntime(RuntimeKind Kind, DeviceSpec Spec,
-                         unsigned HostWorkers, const RuntimeOptions &Options) {
+                         unsigned HostWorkers) {
   switch (Kind) {
   case RuntimeKind::Host:
     return std::unique_ptr<DeviceRuntime>(
         std::make_unique<HostRuntime>(std::move(Spec), HostWorkers));
   case RuntimeKind::HostAsync:
     return std::unique_ptr<DeviceRuntime>(std::make_unique<AsyncHostRuntime>(
-        std::move(Spec), HostWorkers, Options));
+        std::move(Spec), HostWorkers));
   case RuntimeKind::Cuda:
     return ErrorOr<std::unique_ptr<DeviceRuntime>>::failure(
         "cuda runtime not available: psg has no CUDA backend");

@@ -27,9 +27,8 @@
 ///    pre-runtime code. Streams complete eagerly at enqueue.
 ///  * AsyncHostRuntime (device/AsyncHostRuntime.h): the same modeled
 ///    device behind truly asynchronous streams — each stream is a
-///    worker-thread-backed FIFO queue, events are epoch-tagged condition
-///    waits, and buffers come from a size-classed pool
-///    (device/BufferPool.h).
+///    worker-thread-backed FIFO queue and events are epoch-tagged
+///    condition waits.
 ///
 /// There is no CUDA backend: RuntimeKind::Cuda parses, but creating it
 /// fails.
@@ -177,9 +176,6 @@ struct RuntimeCounters {
   uint64_t EventWaits = 0;
   uint64_t HostTasks = 0;
   uint64_t KernelLaunches = 0; ///< Through streams and the default path.
-  uint64_t PoolHits = 0;       ///< Allocations served from the buffer pool.
-  uint64_t PoolMisses = 0;     ///< Allocations that went to the system.
-  uint64_t PoolBytesCached = 0; ///< Bytes currently parked in the pool.
 };
 
 /// Thread-safe accumulator behind RuntimeCounters. Every runtime owns
@@ -201,9 +197,6 @@ struct AtomicRuntimeCounters {
   std::atomic<uint64_t> EventWaits{0};
   std::atomic<uint64_t> HostTasks{0};
   std::atomic<uint64_t> KernelLaunches{0};
-  std::atomic<uint64_t> PoolHits{0};
-  std::atomic<uint64_t> PoolMisses{0};
-  std::atomic<uint64_t> PoolBytesCached{0};
 
   /// Accounts one allocation of \p Bytes and advances the resident
   /// high-water mark.
@@ -238,9 +231,6 @@ struct AtomicRuntimeCounters {
     C.EventWaits = EventWaits.load(std::memory_order_relaxed);
     C.HostTasks = HostTasks.load(std::memory_order_relaxed);
     C.KernelLaunches = KernelLaunches.load(std::memory_order_relaxed);
-    C.PoolHits = PoolHits.load(std::memory_order_relaxed);
-    C.PoolMisses = PoolMisses.load(std::memory_order_relaxed);
-    C.PoolBytesCached = PoolBytesCached.load(std::memory_order_relaxed);
     return C;
   }
 };
@@ -319,22 +309,12 @@ const char *runtimeKindName(RuntimeKind Kind);
 /// else.
 ErrorOr<RuntimeKind> parseRuntimeKind(const std::string &Name);
 
-/// Backend knobs beyond the device spec. Only the asynchronous runtimes
-/// consult the pool settings today; the eager host runtime allocates
-/// directly.
-struct RuntimeOptions {
-  /// Ceiling on bytes the buffer pool may keep cached across frees.
-  /// 0 disables pooling entirely (every free returns to the system).
-  size_t PoolMaxCachedBytes = 64ull << 20;
-};
-
 /// Creates a runtime of \p Kind over \p Spec. \p HostWorkers caps the
 /// host pool backing the host runtimes (0 = hardware concurrency).
 /// Fails for RuntimeKind::Cuda, which has no backend.
 ErrorOr<std::unique_ptr<DeviceRuntime>>
 createDeviceRuntime(RuntimeKind Kind, DeviceSpec Spec,
-                    unsigned HostWorkers = 0,
-                    const RuntimeOptions &Options = RuntimeOptions());
+                    unsigned HostWorkers = 0);
 
 } // namespace psg
 

@@ -65,10 +65,6 @@ struct FabricOptions {
   /// rejoin before aborting the remaining shards.
   double StallTimeoutSeconds = 10.0;
 
-  /// Deliver outcome batches to the sink in ascending simulation-index
-  /// order (buffering out-of-order returns), like SchedOptions.
-  bool OrderedDelivery = true;
-
   /// Accept a result for an in-flight shard from a node declared dead
   /// (stale epoch) when the shard has not been re-delivered yet. Saves
   /// the re-run after a false death; the dedup ledger still guarantees

@@ -135,7 +135,7 @@ FabricScheduleReport NodeCoordinator::streamParameterizations(
   }
   std::map<uint64_t, InFlightShard> InFlights;
   std::deque<QueuedShard> Requeue;
-  DeliveryLedger Ledger(Fabric.OrderedDelivery);
+  DeliveryLedger Ledger;
   bool Dry = false;
   size_t NextIndex = 0;
   size_t Resident = 0;

@@ -26,8 +26,8 @@ using namespace psg;
 namespace {
 
 /// Materializes a local executor run into a pre-sized vector. The
-/// executor delivers in ascending contiguous order (OrderedDelivery),
-/// so writes are a straight offset copy.
+/// executor delivers in ascending contiguous order, so writes are a
+/// straight offset copy.
 class MaterializeSink final : public OutcomeSink {
 public:
   explicit MaterializeSink(std::vector<SimulationOutcome> &Out) : Out(Out) {}
@@ -175,7 +175,6 @@ WorkerReport NodeWorker::serve(const ReactionNetwork &Net) {
       E.Solver = G.Solver;
       SchedOptions S = Local;
       S.ChunkSize = E.SubBatchSize;
-      S.OrderedDelivery = true; // The grant must materialize in order.
       Executor = std::make_unique<ShardedExecutor>(Model, std::move(E),
                                                    std::move(S));
       Key = Wanted;

@@ -37,15 +37,8 @@ Status parseSide(const ReactionNetwork &Net, std::string_view Side,
     auto Index = Net.findSpecies(Name);
     if (!Index)
       return Status::failure(Index.message());
-    bool Merged = false;
-    for (auto &[Idx, C] : Out)
-      if (Idx == *Index) {
-        C += Coef;
-        Merged = true;
-        break;
-      }
-    if (!Merged)
-      Out.emplace_back(*Index, Coef);
+    if (Status S = addSideTerm(Out, *Index, Coef); !S)
+      return S;
   }
   return Status::success();
 }

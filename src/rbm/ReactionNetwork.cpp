@@ -9,8 +9,28 @@
 #include "support/StringUtils.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 using namespace psg;
+
+Status psg::addSideTerm(std::vector<std::pair<unsigned, unsigned>> &Side,
+                        unsigned Index, unsigned Coef) {
+  uint64_t Total = Coef;
+  for (const auto &[Idx, C] : Side)
+    Total += C;
+  if (Total > std::numeric_limits<unsigned>::max())
+    return Status::failure(
+        formatString("stoichiometric coefficients of one side sum past %u",
+                     std::numeric_limits<unsigned>::max()));
+  for (auto &[Idx, C] : Side)
+    if (Idx == Index) {
+      C += Coef;
+      return Status::success();
+    }
+  Side.emplace_back(Index, Coef);
+  return Status::success();
+}
 
 unsigned ReactionNetwork::addSpecies(const std::string &Name,
                                      double Initial) {

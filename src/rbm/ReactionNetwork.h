@@ -61,6 +61,14 @@ struct Reaction {
   }
 };
 
+/// Adds \p Coef molecules of species \p Index to a reaction side,
+/// merging a species that repeats into its existing term. Fails, leaving
+/// \p Side unchanged, when the side's coefficients would sum past
+/// \c unsigned (the merged term and Reaction::order() hold that sum).
+/// The model readers build every side through this.
+Status addSideTerm(std::vector<std::pair<unsigned, unsigned>> &Side,
+                   unsigned Index, unsigned Coef);
+
 /// An RBM: species, reactions, and a name.
 class ReactionNetwork {
 public:

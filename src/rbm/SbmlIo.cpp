@@ -9,8 +9,10 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 using namespace psg;
 using psg::xml::Element;
@@ -20,6 +22,11 @@ using psg::xml::Element;
 //===----------------------------------------------------------------------===//
 
 namespace {
+/// Deepest element nesting the parser accepts. It recurses once per
+/// level, so a deeper document fails instead of exhausting the stack;
+/// the SBML writer's own output is 7 deep.
+constexpr unsigned MaxXmlDepth = 256;
+
 class XmlParser {
 public:
   explicit XmlParser(const std::string &Text) : Text(Text) {}
@@ -27,7 +34,7 @@ public:
   ErrorOr<Element> parse() {
     skipProlog();
     Element Root;
-    if (Status S = parseElement(Root); !S)
+    if (Status S = parseElement(Root, 1); !S)
       return ErrorOr<Element>::failure(S.message());
     skipMisc();
     if (Pos != Text.size())
@@ -149,7 +156,10 @@ private:
     }
   }
 
-  Status parseElement(Element &E) {
+  Status parseElement(Element &E, unsigned Depth) {
+    if (Depth > MaxXmlDepth)
+      return fail(formatString("elements nested deeper than %u levels",
+                               MaxXmlDepth));
     skipMisc();
     if (!consume("<"))
       return fail("expected '<'");
@@ -196,7 +206,7 @@ private:
         continue;
       }
       Element Child;
-      if (Status S = parseElement(Child); !S)
+      if (Status S = parseElement(Child, Depth + 1); !S)
         return S;
       E.Children.push_back(std::move(Child));
     }
@@ -279,22 +289,18 @@ Status addSide(const ReactionNetwork &Net, const Element *List,
       return Status::failure(Index.message());
     unsigned Stoich = 1;
     if (const std::string *S = Ref->findAttribute("stoichiometry")) {
+      // The range test comes first: casting NaN or a value past
+      // UINT_MAX to unsigned is undefined.
       double Value = 0;
-      if (!parseDouble(*S, Value) || Value <= 0 ||
-          Value != static_cast<double>(static_cast<unsigned>(Value)))
+      if (!parseDouble(*S, Value) || !(Value >= 1) ||
+          Value > std::numeric_limits<unsigned>::max() ||
+          Value != std::floor(Value))
         return Status::failure("non-positive-integer stoichiometry '" + *S +
                                "'");
       Stoich = static_cast<unsigned>(Value);
     }
-    bool Merged = false;
-    for (auto &[Idx, Coef] : Side)
-      if (Idx == *Index) {
-        Coef += Stoich;
-        Merged = true;
-        break;
-      }
-    if (!Merged)
-      Side.emplace_back(*Index, Stoich);
+    if (Status S = addSideTerm(Side, *Index, Stoich); !S)
+      return S;
   }
   return Status::success();
 }

@@ -62,6 +62,7 @@ struct Element {
 
 /// Parses one XML document (elements, attributes, text; entities for
 /// &amp; &lt; &gt; &quot; &apos;; comments and declarations skipped).
+/// Elements nested more than 256 deep fail the parse.
 ErrorOr<Element> parseDocument(const std::string &Xml);
 } // namespace xml
 

@@ -12,8 +12,7 @@ using namespace psg;
 
 DeliveryLedger::Acceptance
 DeliveryLedger::accept(size_t First, std::vector<SimulationOutcome> &&Outcomes,
-                       OutcomeSink &Sink,
-                       std::vector<SimulationOutcome> *Recycle) {
+                       OutcomeSink &Sink) {
   Acceptance A;
   if (!Accepted.insert(First).second) {
     A.Duplicate = true;
@@ -24,18 +23,6 @@ DeliveryLedger::accept(size_t First, std::vector<SimulationOutcome> &&Outcomes,
   // territory. (A same-shard retry is caught by the dedup set above.)
   assert(First >= NextDeliver &&
          "shard overlaps already-delivered index range");
-
-  if (!Ordered) {
-    const size_t Count = Outcomes.size();
-    Sink.consumeSubBatch(First, Outcomes);
-    Delivered += Count;
-    A.FlushedSimulations = Count;
-    if (Recycle && Recycle->empty()) {
-      *Recycle = std::move(Outcomes);
-      Recycle->clear();
-    }
-    return A;
-  }
 
   PendingSims += Outcomes.size();
   const bool Inserted = Pending.emplace(First, std::move(Outcomes)).second;

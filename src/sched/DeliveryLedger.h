@@ -5,19 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The exactly-once, optionally-ordered delivery stage shared by the
-/// single-process ShardedExecutor and the cross-node NodeCoordinator
-/// return path. Shards arrive as (First, Outcomes) batches cut from a
-/// contiguous index stream; the ledger deduplicates repeated deliveries
-/// of the same shard (late results from nodes declared dead) and, in
-/// ordered mode, buffers out-of-order completions until the index gap
-/// closes so the sink always observes ascending contiguous sub-batches.
+/// The exactly-once, ordered delivery stage shared by the single-process
+/// ShardedExecutor and the cross-node NodeCoordinator return path.
+/// Shards arrive as (First, Outcomes) batches cut from a contiguous
+/// index stream; the ledger deduplicates repeated deliveries of the same
+/// shard (late results from nodes declared dead) and buffers
+/// out-of-order completions until the index gap closes, so the sink
+/// always observes ascending contiguous sub-batches.
 ///
-/// The contiguity invariant — every ordered flush starts exactly at the
-/// next undelivered index, and accepted shards never overlap — is
-/// asserted here, once, for every execution mode that funnels through
-/// it (tests/sched_test.cpp and tests/fabric_test.cpp drive it from
-/// both sides).
+/// The contiguity invariant — every flush starts exactly at the next
+/// undelivered index, and accepted shards never overlap — is asserted
+/// here, once, for every execution mode that funnels through it
+/// (tests/sched_test.cpp and tests/fabric_test.cpp drive it from both
+/// sides).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +39,6 @@ namespace psg {
 /// mutex; the coordinator is single-threaded).
 class DeliveryLedger {
 public:
-  explicit DeliveryLedger(bool Ordered) : Ordered(Ordered) {}
-
   struct Acceptance {
     bool Duplicate = false;       ///< Shard was already accepted; dropped.
     size_t FlushedSimulations = 0; ///< Sims handed to the sink this call.
@@ -48,32 +46,26 @@ public:
 
   /// Accepts one completed shard starting at global index \p First.
   /// First-accept wins: a duplicate (same First) is dropped whole, no
-  /// matter which attempt or node produced it. In ordered mode the
-  /// batch may be buffered; the return value counts only what was
-  /// flushed to the sink *now* (possibly including earlier buffered
-  /// batches whose gap this one closed).
-  ///
-  /// \p Recycle (optional): after an immediate unordered delivery the
-  /// consumed vector is parked there for the caller to reuse as
-  /// outcome-buffer capacity.
+  /// matter which attempt or node produced it. The batch may be
+  /// buffered; the return value counts only what was flushed to the
+  /// sink *now* (possibly including earlier buffered batches whose gap
+  /// this one closed).
   Acceptance accept(size_t First, std::vector<SimulationOutcome> &&Outcomes,
-                    OutcomeSink &Sink,
-                    std::vector<SimulationOutcome> *Recycle = nullptr);
+                    OutcomeSink &Sink);
 
   /// Total simulations delivered to the sink so far.
   size_t deliveredSimulations() const { return Delivered; }
 
-  /// Next index an ordered flush must start at.
+  /// Next index a flush must start at.
   size_t nextToDeliver() const { return NextDeliver; }
 
-  /// Batches accepted but still buffered (ordered mode only).
+  /// Batches accepted but still buffered.
   size_t pendingBatches() const { return Pending.size(); }
 
   /// Simulations accepted but still buffered.
   size_t pendingSimulations() const { return PendingSims; }
 
 private:
-  bool Ordered;
   size_t NextDeliver = 0;
   size_t Delivered = 0;
   size_t PendingSims = 0;

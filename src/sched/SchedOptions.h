@@ -51,8 +51,9 @@ struct SchedOptions {
   uint64_t ChunkSize = 0;
 
   /// Shards staged ahead per device. Bounds scheduler-resident
-  /// simulations at roughly Devices * (QueueDepth + 1) * ChunkSize: the
-  /// queued shards plus the one each device is running.
+  /// simulations at roughly Devices * (QueueDepth + 2) * ChunkSize: the
+  /// queued shards, the one each device is running and those waiting in
+  /// the reorder buffer for an earlier shard.
   uint64_t QueueDepth = 2;
 
   /// Host pool workers behind each device's virtual device (0 = divide
@@ -64,13 +65,6 @@ struct SchedOptions {
   /// failures. The bounded re-queue of the fault-tolerance contract:
   /// every simulation is delivered exactly once either way.
   unsigned MaxShardAttempts = 3;
-
-  /// Deliver sub-batches to the OutcomeSink in global emission order
-  /// (buffering out-of-order completions) instead of completion order.
-  /// Required by order-dependent sinks (the engine's materializing
-  /// runs); order-independent reducers can turn it off and save the
-  /// reorder buffer.
-  bool OrderedDelivery = true;
 
   /// Test-only fault hook (see ShardFaultInjector). Empty in production.
   ShardFaultInjector FaultInjector;

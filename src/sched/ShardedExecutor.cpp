@@ -118,10 +118,6 @@ struct ShardedExecutor::Impl {
     double ModeledBusy = 0.0;
     double HostBusy = 0.0;
     DeviceShardReport Report;
-    /// Outcome storage recycled between this device's shards under
-    /// unordered delivery: a shard's run consumes it and its retire
-    /// refills it, both on the device thread.
-    std::vector<SimulationOutcome> Recycled;
   };
 
   CostModel Model;
@@ -196,13 +192,11 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     const ParameterizationSource &Source, OutcomeSink &Sink) {
   Impl &S = *I;
   const unsigned N = numDevices();
-  const bool Ordered = S.Sched.OrderedDelivery;
   const unsigned MaxAttempts = std::max(1u, S.Sched.MaxShardAttempts);
   const uint64_t QueueDepth = std::max<uint64_t>(1, S.Sched.QueueDepth);
   // Shards generated but not yet delivered (queued + one running per
   // device + pending reorder); bounds scheduler-resident simulations.
-  const size_t OutstandingCap =
-      static_cast<size_t>(N) * (QueueDepth + 1) + (Ordered ? N : 0);
+  const size_t OutstandingCap = static_cast<size_t>(N) * (QueueDepth + 2);
 
   TraceSpan RunSpan("sched.run", "sched");
   MetricsRegistry &M = metrics();
@@ -231,7 +225,6 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     Dev.Report = DeviceShardReport();
     Dev.Report.Name = Dev.Name;
     Dev.Report.Simulator = Dev.Sim->name();
-    Dev.Recycled = std::vector<SimulationOutcome>();
   }
 
   std::mutex Mx;
@@ -247,7 +240,7 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
   // Mx, exported as psg.device.transfer_* gauges.
   double TransferModeled = 0.0;
   double TransferHidden = 0.0;
-  DeliveryLedger Ledger(Ordered);
+  DeliveryLedger Ledger;
 
   // Estimated modeled seconds of \p Count simulations on device \p D.
   auto estimateFor = [&](unsigned D, uint64_t Count) {
@@ -264,10 +257,9 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
   // a shard runs on exactly one device per attempt, so a duplicate
   // acceptance is a scheduler bug.
   auto deliverLocked = [&](size_t First,
-                           std::vector<SimulationOutcome> &&Outcomes,
-                           std::vector<SimulationOutcome> *Recycle) {
+                           std::vector<SimulationOutcome> &&Outcomes) {
     DeliveryLedger::Acceptance A =
-        Ledger.accept(First, std::move(Outcomes), Sink, Recycle);
+        Ledger.accept(First, std::move(Outcomes), Sink);
     assert(!A.Duplicate && "in-process shard delivered twice");
     assert(Resident >= A.FlushedSimulations &&
            "resident accounting underflow");
@@ -276,7 +268,7 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
 
   // Runs one attempt of a shard on device \p Me. Called without Mx:
   // every side effect is confined to the attempt record and the
-  // device's own simulator and recycle buffer.
+  // device's own simulator.
   auto runShard = [&](unsigned Me, Shard &&Sh) {
     Impl::DeviceState &D = S.Devices[Me];
     ShardAttempt A;
@@ -305,8 +297,6 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     Spec.Options = S.Engine.Solver;
     Spec.RateConstantSets = std::move(A.Sh.RateConstantSets);
     Spec.InitialStates = std::move(A.Sh.InitialStates);
-    if (!Ordered)
-      Spec.OutcomeBuffer = &D.Recycled;
 
     TraceSpan ShardSpan("sched.shard", "sched");
     WallTimer Timer;
@@ -364,7 +354,7 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
         Rep.Stream.Failures += Sh.Count;
         Rep.Stream.Simulations += Sh.Count;
         ++Rep.Stream.SubBatches;
-        deliverLocked(Sh.First, std::move(Lost), nullptr);
+        deliverLocked(Sh.First, std::move(Lost));
         assert(Outstanding > 0 && "outstanding accounting underflow");
         --Outstanding;
         SpaceCv.notify_all();
@@ -400,8 +390,7 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
     Rep.Stream.Failures += A.Result.Failures;
     Rep.Stream.Simulations += Sh.Count;
     ++Rep.Stream.SubBatches;
-    deliverLocked(Sh.First, std::move(A.Result.Outcomes),
-                  Ordered ? nullptr : &D.Recycled);
+    deliverLocked(Sh.First, std::move(A.Result.Outcomes));
     assert(Outstanding > 0 && "outstanding accounting underflow");
     --Outstanding;
     SpaceCv.notify_all();

@@ -20,12 +20,11 @@
 /// to a bounded attempt budget; simulations of shards that exhaust it
 /// are delivered exactly once as Aborted failures.
 ///
-/// Delivery honors the OutcomeSink contract of core/BatchEngine.h: with
-/// OrderedDelivery (default) completed shards are buffered and handed to
-/// the sink in global emission order, so order-dependent sinks (the
-/// engine's materializing runs) work unchanged and sharded sweeps are
-/// bit-exact against single-device oracles; order-independent reducers
-/// may opt out and consume shards as they complete.
+/// Delivery honors the OutcomeSink contract of core/BatchEngine.h:
+/// completed shards are buffered and handed to the sink in global
+/// emission order, so order-dependent sinks (the engine's materializing
+/// runs) work unchanged and sharded sweeps are bit-exact against
+/// single-device oracles.
 ///
 /// Timing follows the repo's modeled-hardware paradigm: every shard is
 /// really integrated on the host, its modeled device seconds accumulate
@@ -111,10 +110,9 @@ public:
   uint64_t chunkFor(unsigned Device) const;
 
   /// Streams parameterizations pulled from \p Source across the fleet
-  /// and hands every integrated shard to \p Sink (in emission order by
-  /// default — see SchedOptions::OrderedDelivery). \p Compiled may be
-  /// null; it is the caller's cached compilation of \p Net, shared
-  /// immutably by every device.
+  /// and hands every integrated shard to \p Sink in emission order.
+  /// \p Compiled may be null; it is the caller's cached compilation of
+  /// \p Net, shared immutably by every device.
   ShardScheduleReport
   streamParameterizations(const ReactionNetwork &Net,
                           std::shared_ptr<const CompiledModel> Compiled,

@@ -7,6 +7,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -72,16 +73,24 @@ bool psg::parseDouble(std::string_view S, double &Out) {
 }
 
 bool psg::parseUnsigned(std::string_view S, unsigned &Out) {
-  S = trim(S);
-  if (S.empty() || S[0] == '-' || S[0] == '+')
-    return false; // strtoul would silently wrap negative inputs.
-  std::string Buffer(S);
-  char *End = nullptr;
-  unsigned long V = std::strtoul(Buffer.c_str(), &End, 10);
-  if (End != Buffer.c_str() + Buffer.size() ||
-      V > std::numeric_limits<unsigned>::max())
+  uint64_t V = 0;
+  if (!parseUnsigned(S, V) || V > std::numeric_limits<unsigned>::max())
     return false; // The cast below would silently wrap.
   Out = static_cast<unsigned>(V);
+  return true;
+}
+
+bool psg::parseUnsigned(std::string_view S, uint64_t &Out) {
+  S = trim(S);
+  if (S.empty() || S[0] == '-' || S[0] == '+')
+    return false; // strtoull would silently wrap negative inputs.
+  std::string Buffer(S);
+  char *End = nullptr;
+  errno = 0;
+  const unsigned long long V = std::strtoull(Buffer.c_str(), &End, 10);
+  if (End != Buffer.c_str() + Buffer.size() || errno == ERANGE)
+    return false;
+  Out = V;
   return true;
 }
 

@@ -12,6 +12,7 @@
 #ifndef PSG_SUPPORT_STRINGUTILS_H
 #define PSG_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,10 @@ bool parseDouble(std::string_view S, double &Out);
 /// Parses a non-negative integer; returns false on malformed input and
 /// on values \c unsigned cannot hold.
 bool parseUnsigned(std::string_view S, unsigned &Out);
+
+/// The 64-bit form: returns false on malformed input and on values past
+/// UINT64_MAX.
+bool parseUnsigned(std::string_view S, uint64_t &Out);
 
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)

@@ -202,4 +202,44 @@ TEST(CaseFileTest, RejectsMalformedMetadata) {
   EXPECT_FALSE(parseCaseText("model m\nspecies A 1\n")); // No seed line.
   EXPECT_FALSE(parseCaseText("check seed 1\ncheck window 0\nmodel m\n"));
   EXPECT_FALSE(parseCaseText("check seed 1\ncheck bogus 2\nmodel m\n"));
+
+  // Metadata replay cannot run must fail the load: a window that is not
+  // finite with t0 < tend, tolerances that are not finite and above 0,
+  // and seeds or step budgets that are not unsigned 64-bit integers
+  // (step budgets at least 1).
+  const std::string Model = "model m\nspecies A 1\nreaction 1 : A -> 0\n";
+  const std::pair<const char *, const char *> Cases[] = {
+      {"window 1 0", "window needs finite t0 < tend"},
+      {"window 0 0", "window needs finite t0 < tend"},
+      {"window 0 nan", "window needs finite t0 < tend"},
+      {"window 0 inf", "window needs finite t0 < tend"},
+      {"window -inf 1", "window needs finite t0 < tend"},
+      {"tolerances nan 1e-6", "tolerances must be finite and above 0"},
+      {"tolerances 1e-9 inf", "tolerances must be finite and above 0"},
+      {"tolerances 0 0", "tolerances must be finite and above 0"},
+      {"tolerances -1 -1", "tolerances must be finite and above 0"},
+      {"maxsteps abc", "expected 'check maxsteps <n>'"},
+      {"maxsteps 0", "expected 'check maxsteps <n>'"},
+      {"maxsteps -5", "expected 'check maxsteps <n>'"},
+      {"maxsteps 18446744073709551616", "expected 'check maxsteps <n>'"},
+      {"seed abc", "expected 'check seed <n>'"},
+      {"seed -1", "expected 'check seed <n>'"},
+      {"seed 18446744073709551616", "expected 'check seed <n>'"},
+  };
+  for (const auto &[Line, Message] : Cases) {
+    const std::string Text = "check seed 1\ncheck " + std::string(Line) + "\n";
+    auto CaseOr = parseCaseText(Text + Model);
+    ASSERT_FALSE(CaseOr) << Line;
+    EXPECT_NE(CaseOr.message().find(std::string("case line 2: ") + Message),
+              std::string::npos)
+        << CaseOr.message();
+  }
+
+  // Full 64-bit seeds and step budgets still load.
+  const std::string Wide = "check seed 18446744073709551615\n"
+                           "check maxsteps 18446744073709551615\n";
+  auto WideOr = parseCaseText(Wide + Model);
+  ASSERT_TRUE(WideOr) << WideOr.message();
+  EXPECT_EQ(WideOr->Seed, 18446744073709551615ull);
+  EXPECT_EQ(WideOr->Options.MaxSteps, 18446744073709551615ull);
 }

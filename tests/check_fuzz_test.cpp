@@ -7,22 +7,28 @@
 // Randomized differential tests (ctest label: fuzz): the seeded random
 // RBM generator, a bounded zero-divergence fuzz run across every
 // simulator personality, and a forced-divergence self-test proving the
-// minimizer and repro-file machinery actually fire.
+// minimizer and repro-file machinery actually fire. Also mutation fuzz
+// of the wire protocol and of the three file readers.
 //
 //===----------------------------------------------------------------------===//
 
+#include "check/CaseFile.h"
 #include "check/Differential.h"
 #include "check/Golden.h"
 #include "fabric/WireFormat.h"
 #include "io/WireIo.h"
 #include "linalg/Jacobian.h"
+#include "rbm/CuratedModels.h"
 #include "rbm/MassAction.h"
+#include "rbm/ModelIo.h"
+#include "rbm/SbmlIo.h"
 #include "rbm/SyntheticGenerator.h"
 #include "sim/Simulators.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -325,4 +331,202 @@ TEST(WireFuzzTest, OutcomeDecoderIsBoundedOnRandomPayloads) {
     std::vector<std::vector<double>> Sets;
     (void)decodeParamSets(R2, Sets, Limits);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Reader fuzz: the model text reader, the XML/SBML reader and the .psg
+// case reader take user files. Each is seeded with a valid document from
+// its own writer and fed seeded mutations of it (bit flips, a deleted
+// line, a duplicated line, a duplicated token), after the inputs that
+// once crashed it. Contract: every call returns a value or a failure,
+// never a signal; the ASan+UBSan leg also turns any memory error or
+// undefined behavior into a failure.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Splits \p Doc into lines, each keeping its '\n'.
+std::vector<std::string> splitLines(const std::string &Doc) {
+  std::vector<std::string> Lines;
+  for (size_t Pos = 0; Pos < Doc.size();) {
+    const size_t End = std::min(Doc.find('\n', Pos), Doc.size() - 1);
+    Lines.push_back(Doc.substr(Pos, End - Pos + 1));
+    Pos = End + 1;
+  }
+  return Lines;
+}
+
+/// Applies one seeded mutation to \p Doc.
+std::string mutate(const std::string &Doc, Rng &Gen) {
+  std::vector<std::string> Lines = splitLines(Doc);
+  if (Lines.empty())
+    return Doc;
+  const size_t L = Gen.uniformInt(Lines.size());
+  switch (Gen.uniformInt(4)) {
+  case 0: { // Flip one to four random bits.
+    std::string Out = Doc;
+    const uint64_t Flips = 1 + Gen.uniformInt(4);
+    for (uint64_t F = 0; F < Flips; ++F)
+      Out[Gen.uniformInt(Out.size())] ^=
+          static_cast<char>(1u << Gen.uniformInt(8));
+    return Out;
+  }
+  case 1:
+    Lines.erase(Lines.begin() + L);
+    break;
+  case 2:
+    Lines.insert(Lines.begin() + L, Lines[L]);
+    break;
+  default: { // Repeat one whitespace-separated token of a line.
+    std::string &Line = Lines[L];
+    auto isSpace = [&Line](size_t I) {
+      return std::isspace(static_cast<unsigned char>(Line[I])) != 0;
+    };
+    std::vector<std::pair<size_t, size_t>> Tokens;
+    for (size_t I = 0; I < Line.size();) {
+      while (I < Line.size() && isSpace(I))
+        ++I;
+      const size_t Begin = I;
+      while (I < Line.size() && !isSpace(I))
+        ++I;
+      if (I > Begin)
+        Tokens.emplace_back(Begin, I);
+    }
+    if (!Tokens.empty()) {
+      const auto [Begin, End] = Tokens[Gen.uniformInt(Tokens.size())];
+      Line.insert(End, " " + Line.substr(Begin, End - Begin));
+    }
+    break;
+  }
+  }
+  std::string Out;
+  for (const std::string &Line : Lines)
+    Out += Line;
+  return Out;
+}
+
+/// Feeds 3000 seeded mutants of \p Seed (one to three stacked mutations
+/// each) to \p Read, which returns whether the reader accepted one.
+template <typename ReadFn>
+void fuzzReader(const std::string &Seed, uint64_t RngSeed, ReadFn Read) {
+  ASSERT_TRUE(Read(Seed)) << "the writer's own document must load";
+  constexpr size_t Trials = 3000;
+  Rng Gen(RngSeed); // Seeded: failures replay exactly.
+  size_t Accepted = 0;
+  for (size_t Trial = 0; Trial < Trials; ++Trial) {
+    std::string Doc = Seed;
+    const uint64_t Mutations = 1 + Gen.uniformInt(3);
+    for (uint64_t M = 0; M < Mutations; ++M)
+      Doc = mutate(Doc, Gen);
+    Accepted += Read(Doc);
+  }
+  // Mutants must land on both sides of the grammar, or the corpus
+  // never reached the reader's error paths (or never got past them).
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_LT(Accepted, Trials);
+}
+
+std::string nestedXml(size_t Levels) {
+  std::string Xml = "<sbml>";
+  for (size_t I = 0; I < Levels; ++I)
+    Xml += "<a>";
+  for (size_t I = 0; I < Levels; ++I)
+    Xml += "</a>";
+  return Xml + "</sbml>";
+}
+
+/// SBML of one reaction whose reactant side lists species A once per
+/// entry of \p Stoichiometries, with that stoichiometry.
+std::string sbmlConsumingA(const std::vector<std::string> &Stoichiometries) {
+  std::string Xml = "<sbml><model id=\"m\"><listOfSpecies>"
+                    "<species id=\"A\" initialConcentration=\"1\"/>"
+                    "<species id=\"B\" initialConcentration=\"0\"/>"
+                    "</listOfSpecies><listOfReactions>"
+                    "<reaction id=\"r0\" psg:rate=\"1\"><listOfReactants>";
+  for (const std::string &S : Stoichiometries)
+    Xml += "<speciesReference species=\"A\" stoichiometry=\"" + S + "\"/>";
+  return Xml + "</listOfReactants><listOfProducts>"
+               "<speciesReference species=\"B\"/></listOfProducts>"
+               "</reaction></listOfReactions></model></sbml>";
+}
+
+} // namespace
+
+TEST(ReaderFuzzTest, ModelTextSurvivesMutations) {
+  // Inputs that once crashed the reader: a repeated species whose
+  // merged coefficient wraps.
+  const std::string Head = "model m\nspecies A 1\nspecies B 0\nreaction 1 : ";
+  EXPECT_FALSE(parseModelText(Head + "4294967295 A + A -> B\n").ok());
+  EXPECT_FALSE(parseModelText(Head + "4294967295 A + 2 A -> B\n").ok());
+  EXPECT_FALSE(parseModelText(Head + "B -> 4294967295 A + A\n").ok());
+  EXPECT_FALSE(parseModelText(Head + "4294967295 A + B -> B\n").ok());
+
+  RandomRbmOptions Gen;
+  Gen.Seed = 11;
+  Gen.HillFraction = 0.3;
+  Gen.MichaelisMentenFraction = 0.3;
+  fuzzReader(writeModelText(generateRandomRbm(Gen)), 0x7E47,
+             [](const std::string &Doc) { return parseModelText(Doc).ok(); });
+}
+
+TEST(ReaderFuzzTest, SbmlSurvivesMutations) {
+  // Inputs that once crashed the reader: a wrapping merged
+  // stoichiometry, stoichiometries an unsigned cannot hold, and nesting
+  // deep enough to overflow the recursive parser's stack.
+  ASSERT_TRUE(parseSbml(sbmlConsumingA({"2", "1"})).ok());
+  EXPECT_FALSE(parseSbml(sbmlConsumingA({"4294967295", "1"})).ok());
+  EXPECT_FALSE(parseSbml(sbmlConsumingA({"4294967296"})).ok());
+  EXPECT_FALSE(parseSbml(sbmlConsumingA({"1e20"})).ok());
+  EXPECT_FALSE(parseSbml(sbmlConsumingA({"nan"})).ok());
+  EXPECT_FALSE(parseSbml(nestedXml(50000)).ok());
+
+  ErrorOr<std::string> Seed = writeSbml(makeRobertsonNetwork());
+  ASSERT_TRUE(Seed.ok()) << Seed.message();
+  fuzzReader(*Seed, 0x5B31,
+             [](const std::string &Doc) { return parseSbml(Doc).ok(); });
+}
+
+TEST(ReaderFuzzTest, CaseFileSurvivesMutations) {
+  // Inputs the reader once accepted and replay then aborted on, failed
+  // as a false divergence, or wrapped.
+  const std::string Model = "model m\nspecies A 1\nreaction 1 : A -> 0\n";
+  auto withLine = [&Model](const std::string &Line) {
+    return "check seed 1\ncheck " + Line + "\n" + Model;
+  };
+  EXPECT_FALSE(parseCaseText(withLine("window 1 0")));
+  EXPECT_FALSE(parseCaseText(withLine("window 0 nan")));
+  EXPECT_FALSE(parseCaseText(withLine("window 0 inf")));
+  EXPECT_FALSE(parseCaseText(withLine("tolerances nan 1e-6")));
+  EXPECT_FALSE(parseCaseText(withLine("tolerances 0 0")));
+  EXPECT_FALSE(parseCaseText(withLine("tolerances -1 -1")));
+  EXPECT_FALSE(parseCaseText(withLine("maxsteps abc")));
+  EXPECT_FALSE(parseCaseText(withLine("maxsteps 0")));
+  EXPECT_FALSE(parseCaseText(withLine("maxsteps -5")));
+  EXPECT_FALSE(parseCaseText(withLine("seed abc")));
+
+  RandomRbmOptions Gen;
+  Gen.Seed = 23;
+  CheckCase Case;
+  Case.Model = generateRandomRbm(Gen);
+  Case.Seed = 0xFEEDFACECAFEBEEFull;
+  Case.EndTime = 1.0;
+  Case.OutputSamples = 9;
+  Case.Options.MaxSteps = 100000;
+  Case.Simulator = "cpu-lsoda";
+  Case.Detail = "worst mixed-relative sample error 0.5 exceeds 0.005";
+  // An accepted case also satisfies what replay relies on.
+  fuzzReader(writeCaseText(Case), 0xCA5E, [](const std::string &Doc) {
+    ErrorOr<CheckCase> C = parseCaseText(Doc);
+    if (!C)
+      return false;
+    EXPECT_TRUE(std::isfinite(C->StartTime) && std::isfinite(C->EndTime) &&
+                C->StartTime < C->EndTime)
+        << Doc;
+    EXPECT_TRUE(C->Options.AbsTol > 0 && C->Options.RelTol > 0 &&
+                std::isfinite(C->Options.AbsTol) &&
+                std::isfinite(C->Options.RelTol))
+        << Doc;
+    EXPECT_GE(C->Options.MaxSteps, 1u) << Doc;
+    return true;
+  });
 }

@@ -9,10 +9,9 @@
 /// contract (stream FIFO order, event record/wait, bit-exact buffer
 /// round trips, launch and transfer accounting) that every backend must
 /// satisfy. The suite is parameterized and runs identically against the
-/// eager host runtime and the asynchronous one (with and without buffer
-/// pooling). Async-only behavior — real cross-stream blocking, pool hit
-/// accounting, the seeded multi-stream stress test — lives in its own
-/// suites below.
+/// eager host runtime and the asynchronous one. Async-only behavior —
+/// real cross-stream blocking, the seeded multi-stream stress test —
+/// lives in its own suites below.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,37 +35,35 @@ using namespace psg;
 
 namespace {
 
-/// One conformance case: a runtime kind plus its pool configuration.
+/// One conformance case: a runtime kind and the name() it must report.
 /// ctest names each case by its raw bytes, Label's address included, so
-/// adding, removing or resizing a string literal in this file renames
-/// the Runtimes/RuntimeConformance cases.
+/// resizing this struct, or adding, removing or resizing a string
+/// literal in this file, renames the Runtimes/RuntimeConformance cases.
 struct RuntimeCase {
   const char *Label;
   RuntimeKind Kind;
-  size_t PoolMaxCachedBytes;
+  const char *Name;
 };
 
 std::unique_ptr<DeviceRuntime> makeRuntime(const RuntimeCase &C,
                                            unsigned HostWorkers = 2) {
-  RuntimeOptions Options;
-  Options.PoolMaxCachedBytes = C.PoolMaxCachedBytes;
-  auto RT =
-      createDeviceRuntime(C.Kind, DeviceSpec::titanX(), HostWorkers, Options);
+  auto RT = createDeviceRuntime(C.Kind, DeviceSpec::titanX(), HostWorkers);
   EXPECT_TRUE(RT.ok()) << RT.message();
+  EXPECT_STREQ((*RT)->name(), C.Name);
   return std::move(*RT);
 }
 
-std::unique_ptr<DeviceRuntime> makeAsync(size_t PoolBytes = 1u << 20,
-                                         unsigned HostWorkers = 2) {
-  return makeRuntime({"host_async", RuntimeKind::HostAsync, PoolBytes},
+std::unique_ptr<DeviceRuntime> makeAsync(unsigned HostWorkers = 2) {
+  return makeRuntime({"host_async", RuntimeKind::HostAsync, "host-async"},
                      HostWorkers);
 }
 
 /// Every runtime the conformance sections below must not distinguish.
+/// A new label would rename its row's ctest cases, so the async row
+/// keeps `host_async_nopool`.
 const RuntimeCase ConformanceCases[] = {
-    {"host", RuntimeKind::Host, 0},
-    {"host_async", RuntimeKind::HostAsync, 64u << 20},
-    {"host_async_nopool", RuntimeKind::HostAsync, 0},
+    {"host", RuntimeKind::Host, "host"},
+    {"host_async_nopool", RuntimeKind::HostAsync, "host-async"},
 };
 
 class RuntimeConformance : public ::testing::TestWithParam<RuntimeCase> {
@@ -113,7 +110,7 @@ TEST(RuntimeFactoryTest, UnknownKindFailsWithKnownNames) {
 }
 
 TEST(RuntimeFactoryTest, HostRuntimesConstruct) {
-  auto Host = makeRuntime({"host", RuntimeKind::Host, 0});
+  auto Host = makeRuntime({"host", RuntimeKind::Host, "host"});
   ASSERT_TRUE(Host);
   EXPECT_STREQ(Host->name(), "host");
   EXPECT_FALSE(Host->asynchronous());
@@ -535,90 +532,13 @@ TEST(AsyncRuntimeTest, RuntimeSynchronizeDrainsAllStreams) {
 }
 
 //===----------------------------------------------------------------------===//
-// Buffer pool: size-classed reuse, hit/miss counters, ceiling, drain.
-//===----------------------------------------------------------------------===//
-
-TEST(BufferPoolTest, ReusedBinCountsAsHitAndIsZeroFilled) {
-  auto RT = makeAsync(/*PoolBytes=*/1u << 20);
-  {
-    auto A = RT->allocate(1000); // covering bin: 1024
-    auto S = RT->createStream("dirty");
-    std::vector<unsigned char> Junk(1000, 0xEE);
-    S->upload(*A, Junk.data(), Junk.size());
-    S->synchronize();
-  }
-  RuntimeCounters C = RT->counters();
-  EXPECT_EQ(C.PoolMisses, 1u);
-  EXPECT_EQ(C.PoolHits, 0u);
-  EXPECT_EQ(C.PoolBytesCached, 1024u);
-
-  // Same bin (900 also covers to 1024): served from the pool, and the
-  // zero-fill contract must hold even though the storage was dirtied.
-  auto B = RT->allocate(900);
-  C = RT->counters();
-  EXPECT_EQ(C.PoolHits, 1u);
-  EXPECT_EQ(C.PoolMisses, 1u);
-  EXPECT_EQ(C.PoolBytesCached, 0u);
-  std::vector<unsigned char> Host(900, 0xAB);
-  auto S = RT->createStream("probe");
-  S->download(*B, Host.data(), Host.size());
-  S->synchronize();
-  for (unsigned char Byte : Host)
-    ASSERT_EQ(Byte, 0u);
-}
-
-TEST(BufferPoolTest, DifferentBinMissesButSmallerRequestsShareBins) {
-  auto RT = makeAsync(/*PoolBytes=*/1u << 20);
-  { auto A = RT->allocate(4096); }
-  auto B = RT->allocate(8192); // bigger bin: miss
-  RuntimeCounters C = RT->counters();
-  EXPECT_EQ(C.PoolMisses, 2u);
-  EXPECT_EQ(C.PoolHits, 0u);
-  auto CBuf = RT->allocate(3000); // covered by the cached 4096 bin: hit
-  EXPECT_EQ(RT->counters().PoolHits, 1u);
-  EXPECT_EQ(CBuf->sizeBytes(), 3000u); // requested size, not the bin
-}
-
-TEST(BufferPoolTest, ZeroCeilingDisablesCaching) {
-  auto RT = makeAsync(/*PoolBytes=*/0);
-  { auto A = RT->allocate(1024); }
-  { auto B = RT->allocate(1024); }
-  RuntimeCounters C = RT->counters();
-  EXPECT_EQ(C.PoolHits, 0u);
-  EXPECT_EQ(C.PoolMisses, 2u);
-  EXPECT_EQ(C.PoolBytesCached, 0u);
-}
-
-TEST(BufferPoolTest, CeilingBoundsCachedBytes) {
-  auto RT = makeAsync(/*PoolBytes=*/4096);
-  // Three 2048-byte bins released; only two fit under the ceiling.
-  {
-    auto A = RT->allocate(2048);
-    auto B = RT->allocate(2048);
-    auto C = RT->allocate(2048);
-  }
-  EXPECT_LE(RT->counters().PoolBytesCached, 4096u);
-}
-
-TEST(BufferPoolTest, DrainedOnRuntimeDestruction) {
-  {
-    auto RT = makeAsync(/*PoolBytes=*/1u << 20);
-    { auto A = RT->allocate(4096); }
-    EXPECT_EQ(RT->counters().PoolBytesCached, 4096u);
-  }
-  // The destructor drained the pool and zeroed the gauge.
-  EXPECT_EQ(metrics().snapshot().gaugeValue("psg.device.pool_bytes_cached"),
-            0.0);
-}
-
-//===----------------------------------------------------------------------===//
 // Seeded multi-stream stress: concurrent shards hammer streams, events,
-// the pool, and the counters from many host threads at once. Run under
+// allocation, and the counters from many host threads at once. Run under
 // the TSan CI leg, this is the race detector for the async machinery.
 //===----------------------------------------------------------------------===//
 
 TEST(AsyncRuntimeStressTest, ConcurrentShardsStayCoherent) {
-  auto RT = makeAsync(/*PoolBytes=*/1u << 20, /*HostWorkers=*/2);
+  auto RT = makeAsync(/*HostWorkers=*/2);
   constexpr unsigned Shards = 6;
   constexpr unsigned Iterations = 25;
   std::atomic<uint64_t> Mismatches{0};
@@ -645,7 +565,7 @@ TEST(AsyncRuntimeStressTest, ConcurrentShardsStayCoherent) {
         Down->synchronize();
         if (std::memcmp(Src.data(), Dst.data(), N) != 0)
           ++Mismatches;
-        // Buffer and event die here — allocator and pool churn under
+        // Buffer and event die here — allocator churn under
         // concurrency is the point.
       }
     });
@@ -662,5 +582,4 @@ TEST(AsyncRuntimeStressTest, ConcurrentShardsStayCoherent) {
   EXPECT_EQ(C.UploadBytes, C.DownloadBytes);
   EXPECT_EQ(C.EventsRecorded, uint64_t(Shards) * Iterations);
   EXPECT_EQ(C.EventWaits, uint64_t(Shards) * Iterations);
-  EXPECT_GT(C.PoolHits + C.PoolMisses, 0u);
 }

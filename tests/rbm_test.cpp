@@ -374,6 +374,46 @@ TEST(ModelIoTest, SbmlRejectsNonFiniteInitialConcentration) {
             "species 'A' has non-finite initial concentration nan");
 }
 
+// A species that repeats on one side merges into one term. A side whose
+// coefficients sum past unsigned must fail the load rather than wrap
+// (to 0, an addReaction abort, or to a smaller valid coefficient).
+TEST(ModelIoTest, RejectsCoefficientOverflow) {
+  const std::string Header = "model m\nspecies A 1\nspecies B 0\n";
+  const char *Reactions[] = {
+      "reaction 1 : 4294967295 A + A -> B\n",
+      "reaction 1 : 4294967295 A + 2 A -> B\n",
+      "reaction 1 : B -> 4294967295 A + A\n",
+      // Distinct species: the side's order would wrap to 0.
+      "reaction 1 : 4294967295 A + B -> B\n",
+  };
+  for (const char *Reaction : Reactions) {
+    auto Net = parseModelText(Header + Reaction);
+    ASSERT_FALSE(Net.ok()) << Reaction;
+    EXPECT_NE(Net.message().find("line 4: stoichiometric coefficients"),
+              std::string::npos)
+        << Net.message();
+  }
+  // The largest side that fits still loads, merged.
+  auto Fits = parseModelText(Header + "reaction 1 : 4294967294 A + A -> B\n");
+  ASSERT_TRUE(Fits.ok()) << Fits.message();
+  ASSERT_EQ(Fits->reaction(0).Reactants.size(), 1u);
+  EXPECT_EQ(Fits->reaction(0).Reactants[0].second, 4294967295u);
+
+  auto Sbml = parseSbml(
+      "<sbml><model id=\"m\"><listOfSpecies>"
+      "<species id=\"A\" initialConcentration=\"1\"/>"
+      "<species id=\"B\" initialConcentration=\"0\"/></listOfSpecies>"
+      "<listOfReactions><reaction id=\"r0\" psg:rate=\"1\"><listOfReactants>"
+      "<speciesReference species=\"A\" stoichiometry=\"4294967295\"/>"
+      "<speciesReference species=\"A\"/></listOfReactants>"
+      "<listOfProducts><speciesReference species=\"B\"/></listOfProducts>"
+      "</reaction></listOfReactions></model></sbml>");
+  ASSERT_FALSE(Sbml.ok());
+  EXPECT_NE(Sbml.message().find("stoichiometric coefficients"),
+            std::string::npos)
+      << Sbml.message();
+}
+
 /// Property: serialize -> parse is the identity on structure.
 class ModelRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 

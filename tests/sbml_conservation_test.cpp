@@ -143,6 +143,31 @@ TEST(SbmlTest, RejectsReactionWithoutKineticConstant) {
   EXPECT_NE(Net.message().find("kineticLaw"), std::string::npos);
 }
 
+// The XML parser recurses once per element level, so nesting is capped
+// at 256 levels; a deeper document must fail, not exhaust the stack.
+TEST(SbmlTest, RejectsDeepNesting) {
+  auto nested = [](size_t Levels) {
+    std::string Xml;
+    for (size_t I = 0; I < Levels; ++I)
+      Xml += "<a>";
+    for (size_t I = 0; I < Levels; ++I)
+      Xml += "</a>";
+    return Xml;
+  };
+  EXPECT_TRUE(xml::parseDocument(nested(256)).ok());
+  auto Over = xml::parseDocument(nested(257));
+  ASSERT_FALSE(Over.ok());
+  EXPECT_NE(Over.message().find("nested deeper than 256 levels"),
+            std::string::npos)
+      << Over.message();
+
+  auto Net = parseSbml("<sbml>" + nested(100000) + "</sbml>");
+  ASSERT_FALSE(Net.ok());
+  EXPECT_NE(Net.message().find("XML error"), std::string::npos)
+      << Net.message();
+  EXPECT_NE(Net.message().find("256"), std::string::npos) << Net.message();
+}
+
 TEST(SbmlTest, WriterRoundTripsStructure) {
   SyntheticModelOptions G;
   G.NumSpecies = 9;

@@ -372,35 +372,6 @@ TEST(ShardedExecutorTest, HeterogeneousFleetScalesChunksByThroughput) {
   EXPECT_EQ(Executor.chunkFor(1) % 8, 0u);
 }
 
-TEST(ShardedExecutorTest, CompletionOrderDeliveryStillExactlyOnce) {
-  // OrderedDelivery off: sub-batches may arrive out of order, but every
-  // simulation still lands exactly once at its own index.
-  ReactionNetwork Net = makeBrusselatorNetwork();
-  ParameterSpace Space(Net);
-  Space.addAxis(rateAxis(0, 0.5, 3.0));
-  const size_t Points = 48;
-  const uint64_t Chunk = 8;
-  const std::vector<Parameterization> Sweep = makeSweep(Space, Points);
-  const std::vector<SimulationOutcome> Reference =
-      referenceOutcomes(Net, "psg-engine", Sweep, Chunk);
-
-  EngineOptions Opts = shardedEngineOptions(2, "psg-engine", Chunk);
-  Opts.Sched.OrderedDelivery = false;
-  ShardedExecutor Executor(CostModel::paperSetup(), Opts, Opts.Sched);
-  size_t Next = 0;
-  ParameterizationSource Source = sourceOver(Sweep, Next);
-  IndexedSink Sink(Points);
-  const ShardScheduleReport Report =
-      Executor.streamParameterizations(Net, nullptr, Source, Sink);
-
-  EXPECT_EQ(Report.Stream.Simulations, Points);
-  for (size_t I = 0; I < Points; ++I) {
-    EXPECT_EQ(Sink.Deliveries[I], 1u) << "sim " << I;
-    Status S = compareOutcomesBitExact(Sink.Outcomes[I], Reference[I]);
-    EXPECT_TRUE(bool(S)) << "outcome " << I << ": " << S.message();
-  }
-}
-
 TEST(ShardedExecutorTest, SchedMetricsAreExported) {
   ReactionNetwork Net = makeBrusselatorNetwork();
   ParameterSpace Space(Net);
@@ -554,7 +525,7 @@ std::vector<SimulationOutcome> blankOutcomes(size_t N) {
 } // namespace
 
 TEST(DeliveryLedgerTest, OrderedFlushStaysContiguousUnderOutOfOrderAccepts) {
-  DeliveryLedger Ledger(/*Ordered=*/true);
+  DeliveryLedger Ledger;
   FlushLog Sink;
 
   // Arrivals: 8, 16, 0, 4, 20, 12 (chunk 4). Flushes must start exactly
@@ -597,43 +568,25 @@ TEST(DeliveryLedgerTest, OrderedFlushStaysContiguousUnderOutOfOrderAccepts) {
 }
 
 TEST(DeliveryLedgerTest, DuplicateShardsAreDroppedWhole) {
-  for (const bool Ordered : {true, false}) {
-    DeliveryLedger Ledger(Ordered);
-    FlushLog Sink;
-    EXPECT_FALSE(Ledger.accept(0, blankOutcomes(4), Sink).Duplicate);
-    EXPECT_TRUE(Ledger.accept(0, blankOutcomes(4), Sink).Duplicate)
-        << "ordered " << Ordered;
-    // A duplicate of a still-buffered shard is dropped too.
-    EXPECT_FALSE(Ledger.accept(8, blankOutcomes(4), Sink).Duplicate);
-    EXPECT_TRUE(Ledger.accept(8, blankOutcomes(4), Sink).Duplicate)
-        << "ordered " << Ordered;
-    EXPECT_FALSE(Ledger.accept(4, blankOutcomes(4), Sink).Duplicate);
-    EXPECT_EQ(Ledger.deliveredSimulations(), 12u) << "ordered " << Ordered;
-    size_t Sum = 0;
-    for (const auto &[First, Size] : Sink.Calls)
-      Sum += Size;
-    EXPECT_EQ(Sum, 12u) << "ordered " << Ordered;
-  }
-}
-
-TEST(DeliveryLedgerTest, UnorderedModeDeliversImmediatelyAndRecycles) {
-  DeliveryLedger Ledger(/*Ordered=*/false);
+  DeliveryLedger Ledger;
   FlushLog Sink;
-  std::vector<SimulationOutcome> Recycle;
-  auto A = Ledger.accept(12, blankOutcomes(4), Sink, &Recycle);
-  EXPECT_FALSE(A.Duplicate);
-  EXPECT_EQ(A.FlushedSimulations, 4u);
-  EXPECT_EQ(Sink.Calls.size(), 1u);
-  EXPECT_EQ(Sink.Calls[0].first, 12u);
-  EXPECT_GE(Recycle.capacity(), 4u); // The consumed buffer came back.
-  EXPECT_EQ(Ledger.pendingBatches(), 0u);
+  EXPECT_FALSE(Ledger.accept(0, blankOutcomes(4), Sink).Duplicate);
+  EXPECT_TRUE(Ledger.accept(0, blankOutcomes(4), Sink).Duplicate);
+  // A duplicate of a still-buffered shard is dropped too.
+  EXPECT_FALSE(Ledger.accept(8, blankOutcomes(4), Sink).Duplicate);
+  EXPECT_TRUE(Ledger.accept(8, blankOutcomes(4), Sink).Duplicate);
+  EXPECT_FALSE(Ledger.accept(4, blankOutcomes(4), Sink).Duplicate);
+  EXPECT_EQ(Ledger.deliveredSimulations(), 12u);
+  size_t Sum = 0;
+  for (const auto &[First, Size] : Sink.Calls)
+    Sum += Size;
+  EXPECT_EQ(Sum, 12u);
 }
 
 TEST(ShardedExecutorTest, OrderedDeliveryFlushesContiguouslyOutOfOrder) {
   // Regression for the pending-map flush: a slow personality next to
-  // three fast ones completes shards far out of order, yet with
-  // OrderedDelivery every sink call must start exactly at the next
-  // undelivered global index.
+  // three fast ones completes shards far out of order, yet every sink
+  // call must start exactly at the next undelivered global index.
   ReactionNetwork Net = makeBrusselatorNetwork();
   ParameterSpace Space(Net);
   Space.addAxis(rateAxis(0, 0.5, 3.0));
@@ -649,7 +602,6 @@ TEST(ShardedExecutorTest, OrderedDeliveryFlushesContiguouslyOutOfOrder) {
                         "psg-engine"};
   Opts.Sched.ChunkSize = Chunk;
   Opts.Sched.WorkersPerDevice = 1;
-  Opts.Sched.OrderedDelivery = true;
 
   class ContiguousSink final : public OutcomeSink {
   public:

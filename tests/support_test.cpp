@@ -284,6 +284,22 @@ TEST(StringUtilsTest, ParseUnsigned) {
   EXPECT_EQ(V, 4294967295u);
   EXPECT_FALSE(parseUnsigned("4294967296", V));
   EXPECT_FALSE(parseUnsigned("99999999999999999999999", V));
+
+  // The 64-bit overload: full range, and the same rejections.
+  uint64_t W = 0;
+  EXPECT_TRUE(parseUnsigned("4294967296", W));
+  EXPECT_EQ(W, 4294967296ull);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", W));
+  EXPECT_EQ(W, 18446744073709551615ull);
+  EXPECT_TRUE(parseUnsigned(" 0 ", W));
+  EXPECT_EQ(W, 0u);
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", W));
+  EXPECT_FALSE(parseUnsigned("99999999999999999999999", W));
+  EXPECT_FALSE(parseUnsigned("-1", W));
+  EXPECT_FALSE(parseUnsigned("+1", W));
+  EXPECT_FALSE(parseUnsigned("", W));
+  EXPECT_FALSE(parseUnsigned("12abc", W));
+  EXPECT_FALSE(parseUnsigned("0x10", W));
 }
 
 TEST(StringUtilsTest, FormatString) {
