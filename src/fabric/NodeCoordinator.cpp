@@ -555,14 +555,17 @@ FabricScheduleReport NodeCoordinator::streamParameterizations(
       handleFrame(std::move(RF));
   }
 
-  // Orderly teardown: surviving workers go home.
-  for (auto &E : Nodes)
-    if (E.second.Alive) {
-      NodeGoodbyeMsg Bye;
-      Bye.Node = CoordinatorNode;
-      Bye.Reason = "sweep complete";
-      sendFrame(E.first, encodeNodeGoodbye(Bye));
-    }
+  // Orderly teardown: every configured worker goes home, not only the
+  // alive ones. A worker whose Hello was still in flight when a small
+  // sweep finished, or one declared dead that is still connected, would
+  // otherwise serve until its transport closes; a send to a closed peer
+  // just fails.
+  for (auto &E : Nodes) {
+    NodeGoodbyeMsg Bye;
+    Bye.Node = CoordinatorNode;
+    Bye.Reason = "sweep complete";
+    sendFrame(E.first, encodeNodeGoodbye(Bye));
+  }
 
   // Exactly-once oracle, enforced structurally: every cut simulation
   // was delivered (as real or Aborted outcomes), none twice.

@@ -96,7 +96,8 @@ public:
   /// Streams \p Source across the worker fleet and hands outcome
   /// batches to \p Sink (ascending contiguous order by default).
   /// Blocks until every simulation is delivered — as real outcomes or
-  /// Aborted — then sends NodeGoodbye to surviving workers.
+  /// Aborted — then sends NodeGoodbye to every configured worker, alive,
+  /// dead or not yet heard from.
   FabricScheduleReport
   streamParameterizations(const ReactionNetwork &Net,
                           const ParameterizationSource &Source,

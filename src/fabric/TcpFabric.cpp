@@ -101,7 +101,10 @@ public:
     Connection C;
     C.Fd = Fd;
     C.RecvBuf = std::move(Leftover);
-    Conns.emplace(Peer, std::move(C));
+    // Frames that arrived with the handshake reply (a late worker can
+    // find the coordinator's goodbye there) are ready now: poll() only
+    // extracts after a recv, and nothing may follow them on the wire.
+    extractFrames(Peer, Conns.emplace(Peer, std::move(C)).first->second);
   }
 
   NodeId id() const override { return Self; }

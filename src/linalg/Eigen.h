@@ -18,12 +18,11 @@
 
 namespace psg {
 
-/// Upper bound on the spectral radius from Gershgorin discs
-/// (max over rows of sum_j |a_ij|); exact enough for routing decisions.
-double gershgorinSpectralBound(const Matrix &A);
-
 /// Power-iteration estimate of |lambda_max|. \p MaxIters bounds the work;
-/// returns the best estimate reached (0 for the zero matrix).
+/// returns the best estimate reached (0 for the zero matrix). The
+/// iteration runs over \p A's nonzeros only and returns the same bits as
+/// the dense iteration over \p A. Each call adds its iteration count to
+/// the `psg.linalg.power_iterations` counter.
 double powerIterationSpectralRadius(const Matrix &A, unsigned MaxIters = 50,
                                     double Tolerance = 1e-3);
 

@@ -13,6 +13,7 @@
 #include "ode/SolverWorkspace.h"
 #include "ode/StepControl.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace psg;
@@ -42,46 +43,71 @@ constexpr double D1 = -12715105075.0 / 11282082432.0,
 
 } // namespace
 
-/// 4th-order continuous extension of a DOPRI5 step.
+/// 4th-order continuous extension of a DOPRI5 step. bind() only records
+/// the step's arrays; the polynomial is built on the first evaluate() in
+/// the step and reused by later ones, so a step no observer samples costs
+/// nothing. The bound arrays must stay unchanged until the next bind(),
+/// which is why the interpolant is valid only during StepObserver::onStep.
 class Dopri5Solver::Interpolant : public StepInterpolant {
 public:
   explicit Interpolant(size_t N)
-      : N(N), Cont1(N), Cont2(N), Cont3(N), Cont4(N), Cont5(N) {}
+      : N(N), Cont2(N), Cont3(N), Cont4(N), Cont5(N) {}
 
-  /// Rebuilds the polynomial for the step [T, T + H].
-  void rebuild(double T, double H, const double *Y0, const double *Y1,
-               const double *K1, const double *K3, const double *K4,
-               const double *K5, const double *K6, const double *K7) {
+  /// Binds the step [T, T + H] from its start state \p Y0, its end state
+  /// \p Y1 and its stages.
+  void bind(double T, double H, const double *Y0, const double *Y1,
+            const double *K1, const double *K3, const double *K4,
+            const double *K5, const double *K6, const double *K7) {
     TBegin = T;
     TEnd = T + H;
-    for (size_t I = 0; I < N; ++I) {
-      const double YDiff = Y1[I] - Y0[I];
-      const double Bspl = H * K1[I] - YDiff;
-      Cont1[I] = Y0[I];
-      Cont2[I] = YDiff;
-      Cont3[I] = Bspl;
-      Cont4[I] = YDiff - H * K7[I] - Bspl;
-      Cont5[I] = H * (D1 * K1[I] + D3 * K3[I] + D4 * K4[I] + D5 * K5[I] +
-                      D6 * K6[I] + D7 * K7[I]);
-    }
+    Step = H;
+    this->Y0 = Y0;
+    this->Y1 = Y1;
+    this->K1 = K1;
+    this->K3 = K3;
+    this->K4 = K4;
+    this->K5 = K5;
+    this->K6 = K6;
+    this->K7 = K7;
+    Built = false;
   }
 
   double beginTime() const override { return TBegin; }
   double endTime() const override { return TEnd; }
 
   void evaluate(double T, double *YOut) const override {
+    if (!Built)
+      build();
     const double S = (T - TBegin) / (TEnd - TBegin);
     const double S1 = 1.0 - S;
     for (size_t I = 0; I < N; ++I)
-      YOut[I] = Cont1[I] +
+      YOut[I] = Y0[I] +
                 S * (Cont2[I] +
                      S1 * (Cont3[I] + S * (Cont4[I] + S1 * Cont5[I])));
   }
 
 private:
+  /// Hairer's CONT coefficients; the first one is the start state Y0.
+  void build() const {
+    const double H = Step;
+    for (size_t I = 0; I < N; ++I) {
+      const double YDiff = Y1[I] - Y0[I];
+      const double Bspl = H * K1[I] - YDiff;
+      Cont2[I] = YDiff;
+      Cont3[I] = Bspl;
+      Cont4[I] = YDiff - H * K7[I] - Bspl;
+      Cont5[I] = H * (D1 * K1[I] + D3 * K3[I] + D4 * K4[I] + D5 * K5[I] +
+                      D6 * K6[I] + D7 * K7[I]);
+    }
+    Built = true;
+  }
+
   size_t N;
-  double TBegin = 0.0, TEnd = 0.0;
-  std::vector<double> Cont1, Cont2, Cont3, Cont4, Cont5;
+  double TBegin = 0.0, TEnd = 0.0, Step = 0.0;
+  const double *Y0 = nullptr, *Y1 = nullptr, *K1 = nullptr, *K3 = nullptr,
+               *K4 = nullptr, *K5 = nullptr, *K6 = nullptr, *K7 = nullptr;
+  mutable bool Built = false;
+  mutable std::vector<double> Cont2, Cont3, Cont4, Cont5;
 };
 
 /// Per-solver working storage, reused across integrate() calls. Every
@@ -126,12 +152,21 @@ IntegrationResult Dopri5Solver::integrate(const OdeSystem &Sys, double T0,
     noteSolverWorkspaceReuse();
   std::vector<double> &K1 = Ws->K1, &K2 = Ws->K2, &K3 = Ws->K3, &K4 = Ws->K4,
                       &K5 = Ws->K5, &K6 = Ws->K6, &K7 = Ws->K7;
-  std::vector<double> &YStage = Ws->YStage, &YNew = Ws->YNew,
-                      &ErrVec = Ws->ErrVec, &Stage6 = Ws->Stage6;
+  std::vector<double> &YStage = Ws->YStage, &ErrVec = Ws->ErrVec,
+                      &Stage6 = Ws->Stage6;
+  // The state alternates between the caller's Y and the workspace's YNew:
+  // an accepted step swaps the two pointers instead of copying, and every
+  // return leaves the current state in Y with one copy.
+  double *YCur = Y.data(), *YNew = Ws->YNew.data();
+  auto Finish = [&] {
+    if (YCur != Y.data())
+      std::copy(YCur, YCur + N, Y.begin());
+    return std::move(Result);
+  };
 
-  Sys.rhs(T0, Y.data(), K1.data());
+  Sys.rhs(T0, YCur, K1.data());
   ++Result.Stats.RhsEvaluations;
-  double H = selectInitialStep(Sys, T0, Y.data(), K1.data(), TEnd, Opts,
+  double H = selectInitialStep(Sys, T0, YCur, K1.data(), TEnd, Opts,
                                /*Order=*/5, Result.Stats.RhsEvaluations);
   const double MaxStep =
       Opts.MaxStep > 0 ? Opts.MaxStep : std::abs(TEnd - T0);
@@ -148,7 +183,7 @@ IntegrationResult Dopri5Solver::integrate(const OdeSystem &Sys, double T0,
       Result.Status = IntegrationStatus::MaxStepsExceeded;
       Result.FinalTime = T;
       Result.LastStepSize = H;
-      return Result;
+      return Finish();
     }
     H = std::min(H, MaxStep);
     double Step = Direction * H;
@@ -158,50 +193,50 @@ IntegrationResult Dopri5Solver::integrate(const OdeSystem &Sys, double T0,
     if (std::abs(Step) < MinMagnitude) {
       Result.Status = IntegrationStatus::StepSizeTooSmall;
       Result.FinalTime = T;
-      return Result;
+      return Finish();
     }
 
     for (size_t I = 0; I < N; ++I)
-      YStage[I] = Y[I] + Step * A21 * K1[I];
+      YStage[I] = YCur[I] + Step * A21 * K1[I];
     Sys.rhs(T + C2 * Step, YStage.data(), K2.data());
     for (size_t I = 0; I < N; ++I)
-      YStage[I] = Y[I] + Step * (A31 * K1[I] + A32 * K2[I]);
+      YStage[I] = YCur[I] + Step * (A31 * K1[I] + A32 * K2[I]);
     Sys.rhs(T + C3 * Step, YStage.data(), K3.data());
     for (size_t I = 0; I < N; ++I)
-      YStage[I] = Y[I] + Step * (A41 * K1[I] + A42 * K2[I] + A43 * K3[I]);
+      YStage[I] = YCur[I] + Step * (A41 * K1[I] + A42 * K2[I] + A43 * K3[I]);
     Sys.rhs(T + C4 * Step, YStage.data(), K4.data());
     for (size_t I = 0; I < N; ++I)
-      YStage[I] = Y[I] + Step * (A51 * K1[I] + A52 * K2[I] + A53 * K3[I] +
-                                 A54 * K4[I]);
+      YStage[I] = YCur[I] + Step * (A51 * K1[I] + A52 * K2[I] + A53 * K3[I] +
+                                    A54 * K4[I]);
     Sys.rhs(T + C5 * Step, YStage.data(), K5.data());
     for (size_t I = 0; I < N; ++I)
-      Stage6[I] = Y[I] + Step * (A61 * K1[I] + A62 * K2[I] + A63 * K3[I] +
-                                 A64 * K4[I] + A65 * K5[I]);
+      Stage6[I] = YCur[I] + Step * (A61 * K1[I] + A62 * K2[I] + A63 * K3[I] +
+                                    A64 * K4[I] + A65 * K5[I]);
     Sys.rhs(T + Step, Stage6.data(), K6.data());
     for (size_t I = 0; I < N; ++I)
-      YNew[I] = Y[I] + Step * (A71 * K1[I] + A73 * K3[I] + A74 * K4[I] +
-                               A75 * K5[I] + A76 * K6[I]);
-    Sys.rhs(T + Step, YNew.data(), K7.data()); // FSAL stage.
+      YNew[I] = YCur[I] + Step * (A71 * K1[I] + A73 * K3[I] + A74 * K4[I] +
+                                  A75 * K5[I] + A76 * K6[I]);
+    Sys.rhs(T + Step, YNew, K7.data()); // FSAL stage.
     Result.Stats.RhsEvaluations += 6;
     ++Result.Stats.Steps;
 
     for (size_t I = 0; I < N; ++I)
       ErrVec[I] = Step * (E1 * K1[I] + E3 * K3[I] + E4 * K4[I] + E5 * K5[I] +
                           E6 * K6[I] + E7 * K7[I]);
-    if (!allFinite(YNew)) {
+    if (!allFinite(YNew, N)) {
       ++Result.Stats.RejectedSteps;
       Controller.notifyRejected();
       H *= 0.1;
       if (H < MinMagnitude) {
         Result.Status = IntegrationStatus::NonFiniteState;
         Result.FinalTime = T;
-        return Result;
+        return Finish();
       }
       continue;
     }
 
-    const double Err = weightedRmsNorm2(ErrVec.data(), Y.data(), YNew.data(),
-                                        N, Opts.AbsTol, Opts.RelTol);
+    const double Err = weightedRmsNorm2(ErrVec.data(), YCur, YNew, N,
+                                        Opts.AbsTol, Opts.RelTol);
     const double Scale = Controller.scaleFactor(Err);
     if (Err > 1.0) {
       ++Result.Stats.RejectedSteps;
@@ -231,7 +266,7 @@ IntegrationResult Dopri5Solver::integrate(const OdeSystem &Sys, double T0,
             Result.FinalTime = T;
             Result.LastStepSize = std::abs(Step);
             Result.Detail = "h*lambda stayed above 3.25 for 15 tests";
-            return Result;
+            return Finish();
           }
         } else if (StiffHits > 0 && ++NonStiffHits == 6) {
           StiffHits = 0;
@@ -241,17 +276,17 @@ IntegrationResult Dopri5Solver::integrate(const OdeSystem &Sys, double T0,
 
     const double TNew = T + Step;
     if (Observer) {
-      Interp.rebuild(T, Step, Y.data(), YNew.data(), K1.data(), K3.data(),
-                     K4.data(), K5.data(), K6.data(), K7.data());
+      Interp.bind(T, Step, YCur, YNew, K1.data(), K3.data(), K4.data(),
+                  K5.data(), K6.data(), K7.data());
       Observer->onStep(Interp);
     }
-    Y = YNew;
-    K1 = K7; // FSAL.
+    std::swap(YCur, YNew);
+    K1.swap(K7); // FSAL.
     T = TNew;
     ++Result.Stats.AcceptedSteps;
     Result.LastStepSize = std::abs(Step);
     H = std::abs(Step) * Scale;
   }
   Result.FinalTime = TEnd;
-  return Result;
+  return Finish();
 }

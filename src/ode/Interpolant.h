@@ -59,7 +59,9 @@ class StepObserver {
 public:
   virtual ~StepObserver();
 
-  /// Called once per accepted step with the step's interpolant.
+  /// Called once per accepted step with the step's interpolant. The
+  /// interpolant is valid only during the call: once onStep returns, the
+  /// solver reuses the storage it reads.
   virtual void onStep(const StepInterpolant &Interp) = 0;
 };
 

@@ -90,9 +90,12 @@ public:
   Backend backend() const override { return Backend::GpuFineCoarse; }
   BatchResult run(const BatchSpec &Spec) override;
 
-  /// Spectral-radius threshold of the P2 routing heuristic (the paper's
-  /// "dominant eigenvalue lower than 500 -> DOPRI5").
-  double StiffnessThreshold = 500.0;
+  /// Default spectral-radius threshold of the P2 routing heuristic (the
+  /// paper's "dominant eigenvalue lower than 500 -> DOPRI5").
+  static constexpr double DefaultStiffnessThreshold = 500.0;
+
+  /// Spectral-radius threshold of the P2 routing heuristic.
+  double StiffnessThreshold = DefaultStiffnessThreshold;
 
   /// Force a single method for the routing ablation (A1): "auto",
   /// "dopri5", or "radau5".

@@ -16,11 +16,20 @@
 #include "fabric/NodeCoordinator.h"
 #include "fabric/NodeWorker.h"
 #include "fabric/TcpFabric.h"
+#include "fabric/WireFormat.h"
 #include "rbm/CuratedModels.h"
 #include "sim/Oracle.h"
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -156,6 +165,150 @@ TEST(FabricTcpTest, LocalhostSocketsReproduceSingleProcessRunBitExact) {
     Status S = compareOutcomesBitExact(Sink.Outcomes[I], Reference[I]);
     EXPECT_TRUE(bool(S)) << "outcome " << I << ": " << S.message();
   }
+}
+
+TEST(FabricTcpTest, WorkerHeardOnlyAfterTheSweepIsToldGoodbye) {
+  // Both workers connect, but one starts serving (and so says Hello)
+  // only after the coordinator has finished the sweep on the other. It
+  // must still be sent home rather than serve for as long as the
+  // coordinator's endpoint stays open.
+  const ReactionNetwork Net = makeBrusselatorNetwork();
+  const size_t Points = 8;
+  const std::vector<Parameterization> Sweep = makeSweep(Net, Points);
+  EngineOptions Opts;
+  Opts.SubBatchSize = Points;
+  Opts.EndTime = 2.0;
+  Opts.OutputSamples = 3;
+
+  auto ListenerOr = TcpListener::create(0);
+  ASSERT_TRUE(ListenerOr.ok()) << ListenerOr.message();
+  std::unique_ptr<TcpListener> Listener = std::move(*ListenerOr);
+  const uint16_t Port = Listener->port();
+
+  std::promise<void> SweepDone;
+  std::shared_future<void> SweepDoneF = SweepDone.get_future().share();
+  std::vector<std::promise<WorkerReport>> Reports(2);
+  std::vector<std::future<WorkerReport>> ReportFs;
+  for (std::promise<WorkerReport> &P : Reports)
+    ReportFs.push_back(P.get_future());
+  std::vector<std::thread> Workers;
+  for (unsigned W = 0; W < 2; ++W)
+    Workers.emplace_back([&, W] {
+      auto EndpointOr = connectTcpWorker("127.0.0.1", Port, 30.0);
+      if (!EndpointOr.ok()) {
+        ADD_FAILURE() << EndpointOr.message();
+        Reports[W].set_value(WorkerReport());
+        return;
+      }
+      if (W == 1)
+        SweepDoneF.wait();
+      SchedOptions Local;
+      Local.Devices = {"psg-engine"};
+      NodeWorker Worker(CostModel::paperSetup(), **EndpointOr, Local, 0.02);
+      Reports[W].set_value(Worker.serve(Net));
+    });
+
+  auto EndpointOr = Listener->acceptWorkers(2, 30.0);
+  FabricScheduleReport Report;
+  if (EndpointOr.ok()) {
+    FabricOptions Fab;
+    Fab.Endpoint = EndpointOr->get();
+    Fab.Workers = {1, 2};
+    Fab.HeartbeatIntervalSeconds = 0.02;
+    IndexedSink Sink(Points);
+    NodeCoordinator Coordinator(Opts, Fab);
+    size_t Next = 0;
+    ParameterizationSource Source = sourceOver(Sweep, Next);
+    Report = Coordinator.streamParameterizations(Net, Source, Sink);
+  } else {
+    ADD_FAILURE() << EndpointOr.message();
+  }
+  SweepDone.set_value();
+
+  // Bounded wait: a worker never told goodbye is released by closing
+  // the coordinator's sockets, and fails below as "transport closed".
+  const bool LateWorkerLeft =
+      ReportFs[1].wait_for(std::chrono::seconds(30)) ==
+      std::future_status::ready;
+  if (EndpointOr.ok())
+    EndpointOr->reset();
+  for (std::thread &T : Workers)
+    T.join();
+  EXPECT_TRUE(LateWorkerLeft);
+
+  EXPECT_EQ(Report.Stream.Simulations, Points);
+  EXPECT_EQ(Report.LostSimulations, 0u);
+  const WorkerReport Early = ReportFs[0].get(), Late = ReportFs[1].get();
+  EXPECT_EQ(Early.ExitReason, "coordinator goodbye");
+  EXPECT_EQ(Early.Simulations, Points);
+  EXPECT_EQ(Late.ExitReason, "coordinator goodbye");
+  EXPECT_EQ(Late.Grants, 0u);
+}
+
+TEST(FabricTcpTest, FrameReadWithTheHandshakeReplyIsDelivered) {
+  // A worker descheduled between its Hello and reading the reply can
+  // get the coordinator's next frame (the goodbye of a sweep that ended
+  // meanwhile) in the same read as the reply. Nothing else may ever
+  // arrive on that socket, so the endpoint must hand the frame out
+  // without waiting for more bytes.
+  int ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(ListenFd, 0);
+  struct sockaddr_in Addr = {};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t Len = sizeof(Addr);
+  ASSERT_EQ(::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), Len), 0);
+  ASSERT_EQ(::listen(ListenFd, 1), 0);
+  ASSERT_EQ(::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Addr), &Len),
+            0);
+
+  // A hand-rolled coordinator: read the worker's Hello, then write the
+  // reply and a goodbye with one send(), and hold the socket open until
+  // the worker closes it. Every wait is bounded.
+  auto Readable = [](int Fd) {
+    struct pollfd P = {Fd, POLLIN, 0};
+    return ::poll(&P, 1, 30000) == 1;
+  };
+  std::thread Coordinator([&] {
+    if (!Readable(ListenFd))
+      return;
+    const int Fd = ::accept(ListenFd, nullptr, nullptr);
+    if (Fd < 0)
+      return;
+    std::vector<uint8_t> In;
+    uint8_t Chunk[256];
+    while (framedSize(In.data(), In.size()) == 0 ||
+           In.size() < framedSize(In.data(), In.size())) {
+      const ssize_t N = Readable(Fd) ? ::recv(Fd, Chunk, sizeof(Chunk), 0) : 0;
+      if (N <= 0)
+        break;
+      In.insert(In.end(), Chunk, Chunk + N);
+    }
+    HelloMsg Reply;
+    Reply.Node = 1;
+    std::vector<uint8_t> Out = encodeHello(Reply);
+    NodeGoodbyeMsg Bye;
+    Bye.Node = CoordinatorNode;
+    Bye.Reason = "sweep complete";
+    const std::vector<uint8_t> ByeFrame = encodeNodeGoodbye(Bye);
+    Out.insert(Out.end(), ByeFrame.begin(), ByeFrame.end());
+    ::send(Fd, Out.data(), Out.size(), MSG_NOSIGNAL);
+    while (Readable(Fd) && ::recv(Fd, Chunk, sizeof(Chunk), 0) > 0) {
+    }
+    ::close(Fd);
+  });
+
+  auto EndpointOr = connectTcpWorker("127.0.0.1", ntohs(Addr.sin_port), 30.0);
+  EXPECT_TRUE(EndpointOr.ok()) << EndpointOr.message();
+  if (EndpointOr.ok()) {
+    ReceivedFrame RF;
+    EXPECT_EQ((*EndpointOr)->poll(RF, 5.0), PollStatus::Message);
+    ErrorOr<FrameView> View = parseFrame(RF.Bytes);
+    EXPECT_TRUE(View.ok() && View->Type == MessageType::NodeGoodbye);
+    EndpointOr->reset();
+  }
+  Coordinator.join();
+  ::close(ListenFd);
 }
 
 TEST(FabricTcpTest, WorkerSeesTransportCloseWhenCoordinatorDrops) {

@@ -9,11 +9,16 @@
 #include "linalg/Lu.h"
 #include "linalg/Matrix.h"
 #include "linalg/VectorOps.h"
+#include "rbm/CuratedModels.h"
+#include "rbm/MassAction.h"
+#include "support/Metrics.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 using namespace psg;
 
@@ -241,13 +246,69 @@ TEST(JacobianTest, MatchesAnalyticDerivativeOfPolynomialSystem) {
   EXPECT_NEAR(J(1, 1), 6.0, 1e-5);
 }
 
+namespace {
+/// Max over rows of sum_j |a_ij|: Gershgorin's bound on the spectral
+/// radius.
+double maxAbsRowSum(const Matrix &A) {
+  double Bound = 0.0;
+  for (size_t R = 0; R < A.rows(); ++R) {
+    double RowSum = 0.0;
+    for (size_t C = 0; C < A.cols(); ++C)
+      RowSum += std::abs(A(R, C));
+    Bound = std::max(Bound, RowSum);
+  }
+  return Bound;
+}
+
+/// The dense power iteration over Matrix::multiply that the sparse one
+/// replaced, kept as its bit-exact oracle. \p Matvecs receives the number
+/// of products it ran.
+double densePowerIteration(const Matrix &A, unsigned MaxIters,
+                           double Tolerance, uint64_t &Matvecs) {
+  Matvecs = 0;
+  const size_t N = A.rows();
+  if (N == 0)
+    return 0.0;
+  std::vector<double> V(N), W(N);
+  for (size_t I = 0; I < N; ++I)
+    V[I] = 1.0 + 0.001 * static_cast<double>(I % 17);
+  double Norm = norm2(V.data(), N);
+  for (double &X : V)
+    X /= Norm;
+  double Estimate = 0.0;
+  for (unsigned Iter = 0; Iter < MaxIters; ++Iter) {
+    A.multiply(V.data(), W.data());
+    ++Matvecs;
+    double WNorm = norm2(W.data(), N);
+    if (WNorm == 0.0 || !std::isfinite(WNorm))
+      return WNorm == 0.0 ? 0.0 : Estimate;
+    double Next = WNorm;
+    for (size_t I = 0; I < N; ++I)
+      V[I] = W[I] / WNorm;
+    if (Iter > 0 && std::abs(Next - Estimate) <= Tolerance * Next)
+      return Next;
+    Estimate = Next;
+  }
+  return Estimate;
+}
+
+/// A nonzero entry: log-uniform magnitude over twelve decades, random
+/// sign, and now and then a small integer so rows can cancel exactly.
+double randomEntry(Rng &R) {
+  const double Sign = R.uniform() < 0.5 ? -1.0 : 1.0;
+  if (R.uniform() < 0.2)
+    return Sign * static_cast<double>(1 + R.uniformInt(3));
+  return Sign * std::pow(10.0, R.uniform(-6, 6));
+}
+} // namespace
+
 TEST(EigenTest, DiagonalMatrixSpectralRadius) {
   Matrix A(3, 3);
   A(0, 0) = -1;
   A(1, 1) = -50;
   A(2, 2) = 2;
   EXPECT_NEAR(powerIterationSpectralRadius(A, 200, 1e-8), 50.0, 0.5);
-  EXPECT_GE(gershgorinSpectralBound(A), 50.0);
+  EXPECT_GE(maxAbsRowSum(A), 50.0);
 }
 
 TEST(EigenTest, GershgorinBoundsPowerIteration) {
@@ -257,11 +318,118 @@ TEST(EigenTest, GershgorinBoundsPowerIteration) {
     for (size_t J = 0; J < 10; ++J)
       A(I, J) = R.uniform(-2, 2);
   const double Rho = powerIterationSpectralRadius(A, 300, 1e-9);
-  EXPECT_LE(Rho, gershgorinSpectralBound(A) + 1e-9);
+  EXPECT_LE(Rho, maxAbsRowSum(A) + 1e-9);
 }
 
 TEST(EigenTest, ZeroMatrixHasZeroRadius) {
   Matrix A(4, 4);
   EXPECT_DOUBLE_EQ(powerIterationSpectralRadius(A), 0.0);
-  EXPECT_DOUBLE_EQ(gershgorinSpectralBound(A), 0.0);
+  EXPECT_DOUBLE_EQ(maxAbsRowSum(A), 0.0);
+}
+
+TEST(EigenTest, SparseIterationMatchesDenseBits) {
+  // The power iteration runs over the matrix's nonzeros; it must return
+  // the dense iteration's bits and count the dense iteration's matvecs in
+  // psg.linalg.power_iterations, on random, special-valued and Jacobian
+  // matrices alike.
+  Counter &Matvecs = metrics().counter("psg.linalg.power_iterations");
+  size_t Cases = 0, Mismatches = 0;
+  auto Check = [&](const Matrix &A, unsigned MaxIters, double Tolerance) {
+    uint64_t WantMatvecs = 0;
+    const double Want =
+        densePowerIteration(A, MaxIters, Tolerance, WantMatvecs);
+    const uint64_t Before = Matvecs.value();
+    const double Got = powerIterationSpectralRadius(A, MaxIters, Tolerance);
+    const uint64_t GotMatvecs = Matvecs.value() - Before;
+    ++Cases;
+    if (std::bit_cast<uint64_t>(Got) == std::bit_cast<uint64_t>(Want) &&
+        GotMatvecs == WantMatvecs)
+      return;
+    if (++Mismatches <= 5)
+      ADD_FAILURE() << "order " << A.rows() << ": " << Got << " vs " << Want
+                    << "; matvecs " << GotMatvecs << " vs " << WantMatvecs;
+  };
+  const double Tolerances[] = {1e-3, 1e-9, 0.0};
+  unsigned NextMaxIters = 0;
+  auto CheckSweep = [&](const Matrix &A) {
+    for (double Tolerance : Tolerances)
+      Check(A, 1 + NextMaxIters++ % 60, Tolerance);
+    Check(A, 50, 1e-3); // The defaults every caller uses.
+  };
+
+  // Seeded random matrices of order 1-40 and density 0-100%, including
+  // nilpotent ones whose iterates reach exactly zero.
+  Rng R(20261017);
+  for (size_t N = 1; N <= 40; ++N)
+    for (double Density : {0.0, 0.03, 0.1, 0.3, 0.6, 1.0})
+      for (int Rep = 0; Rep < 3; ++Rep) {
+        Matrix A(N, N);
+        for (size_t I = 0; I < N; ++I)
+          for (size_t J = 0; J < N; ++J)
+            if (R.uniform() < Density && (Rep != 2 || J > I))
+              A(I, J) = randomEntry(R);
+        CheckSweep(A);
+      }
+
+  // Explicit -0.0, NaN, Inf, subnormal and huge entries among nonzeros.
+  using Limits = std::numeric_limits<double>;
+  const double Specials[] = {
+      -0.0,
+      0.0,
+      Limits::quiet_NaN(),
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::denorm_min(),
+      -3 * Limits::denorm_min(),
+      Limits::min() / 8,
+      Limits::max(),
+  };
+  for (size_t N = 1; N <= 12; ++N)
+    for (double Special : Specials)
+      for (int Rep = 0; Rep < 4; ++Rep) {
+        Matrix A(N, N);
+        for (size_t I = 0; I < N; ++I)
+          for (size_t J = 0; J < N; ++J)
+            if (R.uniform() < 0.5)
+              A(I, J) = randomEntry(R);
+        const uint64_t Count = 1 + R.uniformInt(3);
+        for (uint64_t K = 0; K < Count; ++K)
+          A(R.uniformInt(N), R.uniformInt(N)) = Special;
+        if (Rep == 3) // A matrix of nothing but the special value.
+          for (size_t I = 0; I < N; ++I)
+            for (size_t J = 0; J < N; ++J)
+              A(I, J) = Special;
+        CheckSweep(A);
+      }
+
+  // Jacobians of the engine's models at perturbed states and rate
+  // constants: the metabolic and autophagy surrogates and a decay chain.
+  const ReactionNetwork Nets[] = {
+      makeMetabolicSurrogate().Net,
+      makeAutophagySurrogate(16, 8).Net,
+      makeDecayChainNetwork(12, 6.0),
+  };
+  for (const ReactionNetwork &Net : Nets) {
+    CompiledOdeSystem Sys(Net);
+    const std::vector<double> Y0 = Net.initialState();
+    const std::vector<double> K0 = Sys.rateConstants();
+    for (int Trial = 0; Trial < 20; ++Trial) {
+      std::vector<double> Y = Y0, K = K0;
+      if (Trial > 0) {
+        for (double &X : Y)
+          X = R.uniform() < 0.1 ? 0.0 : X * std::exp(R.uniform(-2, 2));
+        for (double &X : K)
+          X *= std::exp(R.uniform(-3, 3));
+      }
+      Sys.setRateConstants(K);
+      std::vector<double> F0(Y.size());
+      Sys.rhs(0.0, Y.data(), F0.data());
+      Matrix J;
+      Sys.jacobian(0.0, Y.data(), F0.data(), J);
+      CheckSweep(J);
+    }
+  }
+
+  EXPECT_EQ(Mismatches, 0u) << "of " << Cases << " cases";
+  EXPECT_GT(Cases, 4000u);
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 using namespace psg;
@@ -547,6 +548,152 @@ TEST(DenseOutputTest, InterpolantsMatchHalfStepAccuracyAndAreContinuous) {
           << Name << " on " << P.System->name();
       EXPECT_LT(Auditor.MaxGap, 1e-12)
           << Name << " on " << P.System->name();
+    }
+  }
+}
+
+namespace {
+/// Wraps a system and logs every rhs call's time and state. DOPRI5's last
+/// call at a step's end time is the FSAL stage at the accepted state, so
+/// the log names the state a return must leave in the caller's Y.
+class RhsLog : public OdeSystem {
+public:
+  explicit RhsLog(const OdeSystem &Inner) : Inner(Inner) {}
+
+  size_t dimension() const override { return Inner.dimension(); }
+  void rhs(double T, const double *Y, double *DyDt) const override {
+    Times.push_back(T);
+    States.insert(States.end(), Y, Y + dimension());
+    Inner.rhs(T, Y, DyDt);
+  }
+
+  /// The state of the last call at exactly \p T (empty if none).
+  std::vector<double> lastStateAt(double T) const {
+    for (size_t I = Times.size(); I-- > 0;)
+      if (Times[I] == T)
+        return std::vector<double>(States.begin() + I * dimension(),
+                                   States.begin() + (I + 1) * dimension());
+    return {};
+  }
+
+private:
+  const OdeSystem &Inner;
+  mutable std::vector<double> Times, States;
+};
+
+void expectSameBits(const std::vector<double> &Got,
+                    const std::vector<double> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Got.size(); ++I)
+    EXPECT_EQ(std::bit_cast<uint64_t>(Got[I]), std::bit_cast<uint64_t>(Want[I]))
+        << "component " << I << ": " << Got[I] << " vs " << Want[I];
+}
+
+void expectSameStats(const IntegrationStats &Got,
+                     const IntegrationStats &Want) {
+  EXPECT_EQ(Got.Steps, Want.Steps);
+  EXPECT_EQ(Got.AcceptedSteps, Want.AcceptedSteps);
+  EXPECT_EQ(Got.RejectedSteps, Want.RejectedSteps);
+  EXPECT_EQ(Got.RhsEvaluations, Want.RhsEvaluations);
+  EXPECT_EQ(Got.JacobianEvaluations, Want.JacobianEvaluations);
+  EXPECT_EQ(Got.LuFactorizations, Want.LuFactorizations);
+  EXPECT_EQ(Got.ComplexLuFactorizations, Want.ComplexLuFactorizations);
+  EXPECT_EQ(Got.LuSolves, Want.LuSolves);
+  EXPECT_EQ(Got.NewtonIterations, Want.NewtonIterations);
+  EXPECT_EQ(Got.SolverSwitches, Want.SolverSwitches);
+}
+} // namespace
+
+TEST(DenseOutputTest, Dopri5SamplesIndependentOfGrid) {
+  // DOPRI5 builds its dense output only when an observer samples a step
+  // and swaps its state buffers instead of copying them. Neither may move
+  // a bit: the same integration without an observer, on a 201-point grid
+  // and on every 10th point of that grid must agree exactly.
+  TestProblem P = makeVanDerPolMild();
+  const OdeSystem &Sys = *P.System;
+  const double T0 = P.StartTime, T1 = P.EndTime;
+  const size_t N = Sys.dimension();
+  const std::vector<double> Fine = uniformGrid(T0, T1, 201);
+  std::vector<double> Coarse;
+  for (size_t I = 0; I < Fine.size(); I += 10)
+    Coarse.push_back(Fine[I]);
+  SolverOptions Opts;
+  Opts.AbsTol = 1e-9;
+
+  Dopri5Solver Fresh, Reused;
+  std::vector<double> YBare = P.InitialState, YFine = P.InitialState,
+                      YCoarse = P.InitialState;
+  TrajectoryRecorder FineRec(Fine, N), CoarseRec(Coarse, N);
+  FineRec.recordInitial(T0, YFine.data());
+  CoarseRec.recordInitial(T0, YCoarse.data());
+  const IntegrationResult Bare = Fresh.integrate(Sys, T0, T1, YBare, Opts);
+  const IntegrationResult OnFine =
+      Reused.integrate(Sys, T0, T1, YFine, Opts, &FineRec);
+  const IntegrationResult OnCoarse =
+      Reused.integrate(Sys, T0, T1, YCoarse, Opts, &CoarseRec);
+  ASSERT_TRUE(Bare.ok() && OnFine.ok() && OnCoarse.ok());
+  ASSERT_TRUE(FineRec.complete() && CoarseRec.complete());
+  expectSameBits(YFine, YBare);
+  expectSameBits(YCoarse, YBare);
+  expectSameStats(OnFine.Stats, Bare.Stats);
+  expectSameStats(OnCoarse.Stats, Bare.Stats);
+  auto Sample = [N](const TrajectoryRecorder &Rec, size_t S) {
+    const double *Row = Rec.trajectory().state(S);
+    return std::vector<double>(Row, Row + N);
+  };
+  for (size_t K = 0; K < Coarse.size(); ++K)
+    expectSameBits(Sample(CoarseRec, K), Sample(FineRec, 10 * K));
+
+  // Both grids could share a fault; a tight RADAU5 run cannot.
+  Radau5Solver Reference;
+  SolverOptions Tight;
+  Tight.RelTol = 1e-11;
+  Tight.AbsTol = 1e-13;
+  Tight.MaxSteps = 1000000;
+  std::vector<double> YRef = P.InitialState;
+  TrajectoryRecorder RefRec(Fine, N);
+  RefRec.recordInitial(T0, YRef.data());
+  const IntegrationResult Ref =
+      Reference.integrate(Sys, T0, T1, YRef, Tight, &RefRec);
+  ASSERT_TRUE(Ref.ok());
+  double Worst = 0.0;
+  for (size_t S = 0; S < Fine.size(); ++S)
+    for (size_t V = 0; V < N; ++V) {
+      const double Want = RefRec.trajectory().value(S, V);
+      const double Got = FineRec.trajectory().value(S, V);
+      const double Err = std::abs(Got - Want) / std::max(1.0, std::abs(Want));
+      Worst = std::max(Worst, Err);
+    }
+  EXPECT_LT(Worst, 5e-5);
+
+  // Every return leaves the last accepted state in the caller's Y, with
+  // or without an observer, whichever buffer held it: a stiffness abort,
+  // and step-budget stops after an even and an odd number of steps.
+  struct Stop {
+    TestProblem Problem;
+    uint64_t MaxSteps;
+    IntegrationStatus Status;
+  };
+  const Stop Stops[] = {
+      {makeVanDerPolStiff(), 1000000, IntegrationStatus::StiffnessDetected},
+      {P, 10, IntegrationStatus::MaxStepsExceeded},
+      {P, 11, IntegrationStatus::MaxStepsExceeded},
+  };
+  for (const Stop &Case : Stops) {
+    const TestProblem &Q = Case.Problem;
+    for (bool WithObserver : {false, true}) {
+      RhsLog Log(*Q.System);
+      TrajectoryRecorder Rec(uniformGrid(Q.StartTime, Q.EndTime, 201),
+                             Q.System->dimension());
+      StepObserver *Observer = WithObserver ? &Rec : nullptr;
+      SolverOptions Budget;
+      Budget.MaxSteps = Case.MaxSteps;
+      std::vector<double> Y = Q.InitialState;
+      const IntegrationResult R =
+          Reused.integrate(Log, Q.StartTime, Q.EndTime, Y, Budget, Observer);
+      ASSERT_EQ(R.Status, Case.Status) << integrationStatusName(R.Status);
+      EXPECT_GT(R.Stats.AcceptedSteps, 0u);
+      expectSameBits(Y, Log.lastStateAt(R.FinalTime));
     }
   }
 }

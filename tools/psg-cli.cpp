@@ -34,6 +34,7 @@
 
 #include "linalg/Eigen.h"
 #include "ode/Radau5.h"
+#include "sim/Simulators.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
 
@@ -349,9 +350,10 @@ int cmdInfo(const ReactionNetwork &Net) {
   Matrix J;
   Sys.jacobian(0, Y.data(), F0.data(), J);
   const double Rho = powerIterationSpectralRadius(J);
+  const bool Stiff = Rho >= FineCoarseSimulator::DefaultStiffnessThreshold;
   std::printf("stiffness:  |lambda_max| ~ %.3g at t=0 -> engine routes "
               "to %s\n",
-              Rho, Rho >= 500.0 ? "RADAU5 (stiff)" : "DOPRI5 (non-stiff)");
+              Rho, Stiff ? "RADAU5 (stiff)" : "DOPRI5 (non-stiff)");
   return 0;
 }
 
