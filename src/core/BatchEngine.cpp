@@ -197,7 +197,6 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
   // The first sub-batch has no device execution to hide beneath, so its
   // preparation is always exposed.
   prepareNext();
-  assert(!Staged.empty() && "engine stream without parameterizations");
 
   while (!Staged.empty()) {
     PreparedBatch P = std::move(Staged.front());
@@ -283,7 +282,6 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
 EngineReport
 BatchEngine::run(const ParameterSpace &Space,
                  const std::vector<std::vector<double>> &Points) {
-  assert(!Points.empty() && "engine run without points");
   std::unique_ptr<PointGenerator> Gen = makeMaterializedGenerator(Points);
   EngineReport Report;
   Report.Outcomes.reserve(Points.size());
@@ -295,7 +293,6 @@ BatchEngine::run(const ParameterSpace &Space,
 EngineReport
 BatchEngine::runParameterizations(const ReactionNetwork &Net,
                                   std::vector<Parameterization> Params) {
-  assert(!Params.empty() && "engine run without parameterizations");
   size_t Next = 0;
   ParameterizationSource Source =
       [&](size_t MaxCount, std::vector<Parameterization> &Out) -> size_t {

@@ -167,7 +167,9 @@ public:
   /// Streams \p Gen through the simulator: chunks of points are pulled
   /// and parameterized on demand, at most InFlight sub-batches are
   /// staged, and every integrated sub-batch is handed to \p Sink before
-  /// its trajectory storage is released.
+  /// its trajectory storage is released. On the single-device and sharded
+  /// paths an empty source yields an empty report: no sub-batches, no
+  /// outcomes.
   StreamReport stream(const ParameterSpace &Space, PointGenerator &Gen,
                       OutcomeSink &Sink);
 

@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dense LU factorization with partial pivoting over double and
-/// complex<double>. RADAU5 factors one real and one complex Newton matrix
-/// per Jacobian refresh; BDF factors a real one. The factorization count is
+/// LU factorization with partial pivoting over double and complex<double>,
+/// stored dense and row-major. Elimination and the triangular solves visit
+/// only the factors' nonzeros yet return the dense algorithm's exact bits
+/// (see Lu.cpp). RADAU5 factors one real and one complex Newton matrix per
+/// Jacobian refresh; BDF factors a real one. The factorization count is
 /// part of the operation statistics fed to the vgpu cost model.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,8 +26,9 @@ template <typename T> class LuDecomposition {
 public:
   LuDecomposition() = default;
 
-  /// Factors \p A. Returns false if a zero (or subnormal) pivot makes the
-  /// matrix numerically singular; the factorization is then unusable.
+  /// Factors \p A. Returns false if a column has no nonzero pivot left
+  /// (A is singular); the factorization is then unusable. A tiny or
+  /// subnormal pivot is accepted.
   bool factor(const DenseMatrix<T> &A);
 
   /// Solves (in place) the system A*X = B for one right-hand side.
@@ -44,6 +47,10 @@ public:
 private:
   DenseMatrix<T> Lu;
   std::vector<size_t> Pivot;
+  /// Column indices of the factors' nonzeros: row R of L (left of the
+  /// diagonal) at LCols[LStart[R], LStart[R + 1]), row R of U (right of
+  /// it) at UCols[UStart[R], UStart[R + 1]).
+  std::vector<size_t> LStart, LCols, UStart, UCols;
   int PivotSign = 1;
   bool Valid = false;
 };

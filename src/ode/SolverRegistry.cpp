@@ -35,6 +35,11 @@ public:
     RejectedSteps = &M.counter(Prefix + ".rejected_steps");
     RhsEvaluations = &M.counter(Prefix + ".rhs_evaluations");
     JacobianEvaluations = &M.counter(Prefix + ".jacobian_evaluations");
+    LuFactorizations = &M.counter(Prefix + ".lu_factorizations");
+    ComplexLuFactorizations =
+        &M.counter(Prefix + ".complex_lu_factorizations");
+    LuSolves = &M.counter(Prefix + ".lu_solves");
+    NewtonIterations = &M.counter(Prefix + ".newton_iterations");
     Failures = &M.counter(Prefix + ".failures");
     StiffnessDetections = &M.counter(Prefix + ".stiffness_detections");
     MethodSwitches = &M.counter(Prefix + ".method_switches");
@@ -58,6 +63,10 @@ public:
     RejectedSteps->add(Result.Stats.RejectedSteps);
     RhsEvaluations->add(Result.Stats.RhsEvaluations);
     JacobianEvaluations->add(Result.Stats.JacobianEvaluations);
+    LuFactorizations->add(Result.Stats.LuFactorizations);
+    ComplexLuFactorizations->add(Result.Stats.ComplexLuFactorizations);
+    LuSolves->add(Result.Stats.LuSolves);
+    NewtonIterations->add(Result.Stats.NewtonIterations);
     if (Result.Stats.SolverSwitches)
       MethodSwitches->add(Result.Stats.SolverSwitches);
     if (Result.Status == IntegrationStatus::StiffnessDetected)
@@ -75,6 +84,10 @@ private:
   Counter *RejectedSteps = nullptr;
   Counter *RhsEvaluations = nullptr;
   Counter *JacobianEvaluations = nullptr;
+  Counter *LuFactorizations = nullptr;
+  Counter *ComplexLuFactorizations = nullptr;
+  Counter *LuSolves = nullptr;
+  Counter *NewtonIterations = nullptr;
   Counter *Failures = nullptr;
   Counter *StiffnessDetections = nullptr;
   Counter *MethodSwitches = nullptr;

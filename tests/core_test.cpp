@@ -209,6 +209,29 @@ TEST(BatchEngineTest, OutcomeOrderMatchesPointOrder) {
                 1e-12);
 }
 
+TEST(BatchEngineTest, EmptyRunsReturnEmptyReports) {
+  // No points and no parameterizations are a valid, empty run on the
+  // single-device path and on the sharded one.
+  ReactionNetwork Net = makeDecayChainNetwork(4, 1.0);
+  ParameterSpace Space(Net);
+  Space.addAxis(initialAxis(Net, "S0", 0.5, 2.0));
+  for (unsigned Devices : {0u, 2u}) {
+    EngineOptions Opts;
+    Opts.SimulatorName = "psg-engine";
+    Opts.EndTime = 1.0;
+    Opts.Sched.Devices.assign(Devices, "psg-engine");
+    BatchEngine Engine(CostModel::paperSetup(), Opts);
+    const EngineReport FromPoints = Engine.run(Space, {});
+    EXPECT_TRUE(FromPoints.Outcomes.empty()) << Devices << " devices";
+    EXPECT_EQ(FromPoints.SubBatches, 0u) << Devices << " devices";
+    EXPECT_EQ(FromPoints.Failures, 0u) << Devices << " devices";
+    const EngineReport FromParams = Engine.runParameterizations(Net, {});
+    EXPECT_TRUE(FromParams.Outcomes.empty()) << Devices << " devices";
+    EXPECT_EQ(FromParams.SubBatches, 0u) << Devices << " devices";
+    EXPECT_EQ(FromParams.Failures, 0u) << Devices << " devices";
+  }
+}
+
 TEST(BatchEngineTest, ThroughputAndTimesAreReported) {
   EngineOptions Opts;
   Opts.SimulatorName = "psg-engine";

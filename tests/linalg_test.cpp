@@ -9,6 +9,7 @@
 #include "linalg/Lu.h"
 #include "linalg/Matrix.h"
 #include "linalg/VectorOps.h"
+#include "ode/Radau5.h"
 #include "rbm/CuratedModels.h"
 #include "rbm/MassAction.h"
 #include "support/Metrics.h"
@@ -19,6 +20,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <type_traits>
 
 using namespace psg;
 
@@ -432,4 +435,337 @@ TEST(EigenTest, SparseIterationMatchesDenseBits) {
 
   EXPECT_EQ(Mismatches, 0u) << "of " << Cases << " cases";
   EXPECT_GT(Cases, 4000u);
+}
+
+//===----------------------------------------------------------------------===//
+// Structured LU against the dense oracle.
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// The dense LU that the structured one replaced, kept as its bit-exact
+/// oracle: the same pivoting, every update over the whole row right of the
+/// pivot, every substitution over the whole triangle.
+template <typename T> struct DenseLuOracle {
+  DenseMatrix<T> Lu;
+  std::vector<size_t> Pivot;
+  int PivotSign = 1;
+
+  bool factor(const DenseMatrix<T> &A) {
+    Lu = A;
+    const size_t N = Lu.rows();
+    Pivot.resize(N);
+    PivotSign = 1;
+    for (size_t K = 0; K < N; ++K) {
+      size_t Best = K;
+      double BestMag = std::abs(Lu(K, K));
+      for (size_t R = K + 1; R < N; ++R) {
+        double Mag = std::abs(Lu(R, K));
+        if (Mag > BestMag) {
+          BestMag = Mag;
+          Best = R;
+        }
+      }
+      Pivot[K] = Best;
+      if (Best != K) {
+        PivotSign = -PivotSign;
+        for (size_t C = 0; C < N; ++C)
+          std::swap(Lu(K, C), Lu(Best, C));
+      }
+      if (BestMag == 0.0)
+        return false;
+      const T PivotValue = Lu(K, K);
+      for (size_t R = K + 1; R < N; ++R) {
+        T Factor = Lu(R, K) / PivotValue;
+        Lu(R, K) = Factor;
+        if (Factor == T{})
+          continue;
+        for (size_t C = K + 1; C < N; ++C)
+          Lu(R, C) -= Factor * Lu(K, C);
+      }
+    }
+    return true;
+  }
+
+  void solve(T *B) const {
+    const size_t N = Lu.rows();
+    for (size_t K = 0; K < N; ++K)
+      if (Pivot[K] != K)
+        std::swap(B[K], B[Pivot[K]]);
+    for (size_t R = 1; R < N; ++R) {
+      T Sum = B[R];
+      for (size_t C = 0; C < R; ++C)
+        Sum -= Lu(R, C) * B[C];
+      B[R] = Sum;
+    }
+    for (size_t RI = N; RI-- > 0;) {
+      T Sum = B[RI];
+      for (size_t C = RI + 1; C < N; ++C)
+        Sum -= Lu(RI, C) * B[C];
+      B[RI] = Sum / Lu(RI, RI);
+    }
+  }
+
+  T determinant() const {
+    T Det = static_cast<T>(PivotSign);
+    for (size_t K = 0; K < Lu.rows(); ++K)
+      Det *= Lu(K, K);
+    return Det;
+  }
+};
+
+bool sameBits(double A, double B) {
+  return std::bit_cast<uint64_t>(A) == std::bit_cast<uint64_t>(B);
+}
+bool sameBits(const std::complex<double> &A, const std::complex<double> &B) {
+  return sameBits(A.real(), B.real()) && sameBits(A.imag(), B.imag());
+}
+
+using Complex = std::complex<double>;
+
+/// A random nonzero element; a complex one has a zero component now and
+/// then.
+template <typename T> T randomElement(Rng &R) {
+  if constexpr (std::is_same_v<T, double>) {
+    return randomEntry(R);
+  } else {
+    const double U = R.uniform();
+    if (U < 0.15)
+      return {randomEntry(R), 0.0};
+    if (U < 0.3)
+      return {0.0, randomEntry(R)};
+    return {randomEntry(R), randomEntry(R)};
+  }
+}
+
+/// A zero of random sign (per component for complex).
+template <typename T> T signedZero(Rng &R) {
+  auto Zero = [&] { return R.uniform() < 0.5 ? -0.0 : 0.0; };
+  if constexpr (std::is_same_v<T, double>)
+    return Zero();
+  else
+    return {Zero(), Zero()};
+}
+
+/// An element that carries \p Special; a complex one carries it in one
+/// component, next to a zero or a random other component.
+template <typename T> T specialElement(Rng &R, double Special) {
+  if constexpr (std::is_same_v<T, double>) {
+    return Special;
+  } else {
+    const double Other = R.uniform() < 0.5 ? 0.0 : randomEntry(R);
+    return R.uniform() < 0.5 ? Complex(Special, Other)
+                             : Complex(Other, Special);
+  }
+}
+
+template <typename T>
+DenseMatrix<T> randomMatrix(Rng &R, size_t N, double Density) {
+  DenseMatrix<T> A(N, N);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      if (R.uniform() < Density)
+        A(I, J) = randomElement<T>(R);
+  return A;
+}
+
+/// Makes every diagonal entry outweigh its row, with sign \p Sign.
+template <typename T> void shiftDiagonal(DenseMatrix<T> &A, double Sign) {
+  for (size_t I = 0; I < A.rows(); ++I) {
+    double RowSum = 1.0;
+    for (size_t J = 0; J < A.cols(); ++J)
+      if (J != I)
+        RowSum += std::abs(A(I, J));
+    A(I, I) = static_cast<T>(Sign * RowSum);
+  }
+}
+
+/// Right-hand sides: dense random, sparse with signed zeros, all signed
+/// zeros, and a unit vector.
+template <typename T>
+std::vector<std::vector<T>> randomRhs(Rng &R, size_t N) {
+  std::vector<std::vector<T>> Out(4, std::vector<T>(N));
+  for (size_t I = 0; I < N; ++I) {
+    Out[0][I] = randomElement<T>(R);
+    Out[1][I] = R.uniform() < 0.3 ? randomElement<T>(R) : signedZero<T>(R);
+    Out[2][I] = signedZero<T>(R);
+  }
+  Out[3][R.uniformInt(N)] = randomElement<T>(R);
+  return Out;
+}
+} // namespace
+
+TEST(LuTest, StructuredFactorMatchesDenseBits) {
+  // The structured LU must return the dense LU's bits: factor()'s result,
+  // the determinant and every solved component, in real and complex, on
+  // random, singular, special-valued and Newton matrices alike.
+  size_t Factorizations = 0, Solves = 0, Mismatches = 0;
+  auto Check = [&]<typename T>(const char *Family, const DenseMatrix<T> &A,
+                               const std::vector<std::vector<T>> &Rhs) {
+    DenseLuOracle<T> Want;
+    LuDecomposition<T> Got;
+    const bool WantOk = Want.factor(A);
+    const bool GotOk = Got.factor(A);
+    ++Factorizations;
+    std::string Diff;
+    if (GotOk != WantOk)
+      Diff = std::string("factor() returned ") + (GotOk ? "true" : "false");
+    else if (WantOk && !sameBits(Got.determinant(), Want.determinant()))
+      Diff = "determinant differs";
+    for (size_t I = 0; WantOk && GotOk && I < Rhs.size(); ++I) {
+      std::vector<T> X = Rhs[I], Y = Rhs[I];
+      Want.solve(X.data());
+      Got.solve(Y.data());
+      ++Solves;
+      for (size_t K = 0; K < X.size() && Diff.empty(); ++K)
+        if (!sameBits(Y[K], X[K]))
+          Diff = "right-hand side " + std::to_string(I) + ", component " +
+                 std::to_string(K) + " differs";
+    }
+    if (!Diff.empty() && ++Mismatches <= 5)
+      ADD_FAILURE() << Family << " of order " << A.rows() << ": " << Diff;
+  };
+  Rng R(20261018);
+
+  // Seeded matrices of order 1-40 and density 2-100%: unshifted (row
+  // swaps), diagonally shifted to positive and to negative pivots (the
+  // negative ones divide zeros to -0), and with a zeroed row (singular).
+  auto CheckRandom = [&]<typename T>(T) {
+    for (size_t N = 1; N <= 40; ++N)
+      for (double Density : {0.02, 0.05, 0.1, 0.3, 0.6, 1.0})
+        for (int Variant = 0; Variant < 12; ++Variant) {
+          DenseMatrix<T> A = randomMatrix<T>(R, N, Density);
+          if (Variant % 4 == 1 || Variant % 4 == 2)
+            shiftDiagonal(A, Variant % 4 == 1 ? 1.0 : -1.0);
+          if (Variant % 4 == 3) {
+            shiftDiagonal(A, R.uniform() < 0.5 ? 1.0 : -1.0);
+            const size_t Row = R.uniformInt(N);
+            for (size_t J = 0; J < N; ++J)
+              A(Row, J) = T{};
+          }
+          Check("random matrix", A, randomRhs<T>(R, N));
+        }
+  };
+  CheckRandom(0.0);
+  CheckRandom(Complex());
+
+  // Complex matrices of purely real and purely imaginary entries: their
+  // products have zero components, whose signs then reach the results.
+  // Half of them hold only +0 components (the structured path), half
+  // zeros of random sign next to nonzeros (an input -0 in any component
+  // must run every update dense).
+  for (size_t N = 1; N <= 12; ++N)
+    for (int Rep = 0; Rep < 200; ++Rep) {
+      const bool SignedZeros = Rep % 2 == 1;
+      auto Element = [&] {
+        const double Zero = SignedZeros ? signedZero<double>(R) : 0.0;
+        const double Value = randomEntry(R);
+        return R.uniform() < 0.5 ? Complex(Value, Zero) : Complex(Zero, Value);
+      };
+      ComplexMatrix A(N, N);
+      for (size_t I = 0; I < N; ++I)
+        for (size_t J = 0; J < N; ++J)
+          if (R.uniform() < 0.5)
+            A(I, J) = Element();
+      std::vector<std::vector<Complex>> Rhs = randomRhs<Complex>(R, N);
+      Rhs.emplace_back(N);
+      for (Complex &X : Rhs.back())
+        X = R.uniform() < 0.5 ? Element() : signedZero<Complex>(R);
+      Check("complex matrix of real and imaginary entries", A, Rhs);
+    }
+
+  // -0.0, NaN, ±Inf, subnormal and DBL_MAX entries, in A and separately
+  // in B, where B's first entry gets its own case: the forward pass reads
+  // it without ever rewriting it.
+  using Limits = std::numeric_limits<double>;
+  const double Specials[] = {
+      -0.0,
+      Limits::quiet_NaN(),
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::denorm_min(),
+      -3 * Limits::denorm_min(),
+      Limits::min() / 8,
+      Limits::max(),
+      -Limits::max(),
+  };
+  auto CheckSpecials = [&]<typename T>(T) {
+    for (size_t N = 1; N <= 20; ++N)
+      for (double Special : Specials)
+        for (int Rep = 0; Rep < 12; ++Rep) {
+          DenseMatrix<T> A = randomMatrix<T>(R, N, 0.3);
+          if (Rep % 3 != 0)
+            shiftDiagonal(A, Rep % 3 == 1 ? 1.0 : -1.0);
+          DenseMatrix<T> WithSpecial = A;
+          const uint64_t Count = 1 + R.uniformInt(3);
+          for (uint64_t I = 0; I < Count; ++I)
+            WithSpecial(R.uniformInt(N), R.uniformInt(N)) =
+                specialElement<T>(R, Special);
+          Check("matrix with special entries", WithSpecial,
+                randomRhs<T>(R, N));
+
+          std::vector<std::vector<T>> Rhs = randomRhs<T>(R, N);
+          for (std::vector<T> &B : Rhs) {
+            B[R.uniformInt(N)] = specialElement<T>(R, Special);
+            if (R.uniform() < 0.5)
+              B[R.uniformInt(N)] = specialElement<T>(R, Special);
+          }
+          Rhs.push_back(randomRhs<T>(R, N)[0]);
+          Rhs.back()[0] = specialElement<T>(R, Special);
+          Check("right-hand side with special entries", A, Rhs);
+        }
+  };
+  CheckSpecials(0.0);
+  CheckSpecials(Complex());
+
+  // Newton matrices of the implicit solvers, I - h*beta*J (BDF, LSODA,
+  // VODE) and gamma/h*I - J, (alpha + i*beta)/h*I - J (RADAU5), from
+  // Jacobians of the metabolic and autophagy surrogates and a decay chain
+  // at perturbed states and rate constants.
+  const ReactionNetwork Nets[] = {
+      makeMetabolicSurrogate().Net,
+      makeAutophagySurrogate(16, 8).Net,
+      makeDecayChainNetwork(12, 6.0),
+  };
+  const double Gamma = radau5detail::gammaReal();
+  const double Alpha = radau5detail::alphaComplex();
+  const double Beta = radau5detail::betaComplex();
+  for (const ReactionNetwork &Net : Nets) {
+    CompiledOdeSystem Sys(Net);
+    const size_t N = Net.numSpecies();
+    const std::vector<double> Y0 = Net.initialState();
+    const std::vector<double> K0 = Sys.rateConstants();
+    for (int Trial = 0; Trial < 10; ++Trial) {
+      std::vector<double> Y = Y0, K = K0;
+      if (Trial > 0) {
+        for (double &X : Y)
+          X = R.uniform() < 0.1 ? 0.0 : X * std::exp(R.uniform(-2, 2));
+        for (double &X : K)
+          X *= std::exp(R.uniform(-3, 3));
+      }
+      Sys.setRateConstants(K);
+      std::vector<double> F0(N);
+      Sys.rhs(0.0, Y.data(), F0.data());
+      Matrix J;
+      Sys.jacobian(0.0, Y.data(), F0.data(), J);
+      for (double H : {1e-6, 1e-3, 0.1, 10.0}) {
+        Matrix Bdf(N, N), E1(N, N);
+        ComplexMatrix E2(N, N);
+        for (size_t I = 0; I < N; ++I)
+          for (size_t C = 0; C < N; ++C) {
+            Bdf(I, C) = (I == C ? 1.0 : 0.0) - H * (2.0 / 3.0) * J(I, C);
+            E1(I, C) = (I == C ? Gamma / H : 0.0) - J(I, C);
+            E2(I, C) = Complex((I == C ? Alpha / H : 0.0) - J(I, C),
+                               I == C ? Beta / H : 0.0);
+          }
+        Check("BDF Newton matrix", Bdf, randomRhs<double>(R, N));
+        Check("RADAU5 real Newton matrix", E1, randomRhs<double>(R, N));
+        Check("RADAU5 complex Newton matrix", E2, randomRhs<Complex>(R, N));
+      }
+    }
+  }
+
+  EXPECT_EQ(Mismatches, 0u) << "of " << Factorizations
+                            << " factorizations and " << Solves << " solves";
+  EXPECT_GT(Factorizations, 17000u);
+  EXPECT_GT(Solves, 55000u);
 }

@@ -14,6 +14,7 @@
 #include "ode/Trajectory.h"
 
 #include "linalg/Lu.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -71,6 +72,39 @@ TEST(SolverRegistryTest, ImplicitFlagMatchesFamilies) {
   EXPECT_TRUE((*createSolver("radau5"))->isImplicit());
   EXPECT_TRUE((*createSolver("bdf"))->isImplicit());
   EXPECT_TRUE((*createSolver("lsoda"))->isImplicit());
+}
+
+TEST(SolverRegistryTest, MeteringExportsTheCountsTheCostModelPrices) {
+  // Each psg.ode.<solver>.* counter grows by exactly the integration's
+  // IntegrationStats count, on the two implicit families: RADAU5 (a real
+  // and a complex factorization per refresh) and LSODA (BDF, one solve
+  // per Newton iteration).
+  const TestProblem P = makeRobertson();
+  for (const std::string Name : {"radau5", "lsoda"}) {
+    MetricsRegistry &M = metrics();
+    const std::string Prefix = "psg.ode." + Name;
+    Counter &Factors = M.counter(Prefix + ".lu_factorizations");
+    Counter &ComplexFactors = M.counter(Prefix + ".complex_lu_factorizations");
+    Counter &Solves = M.counter(Prefix + ".lu_solves");
+    Counter &Newton = M.counter(Prefix + ".newton_iterations");
+    const uint64_t Before[] = {Factors.value(), ComplexFactors.value(),
+                               Solves.value(), Newton.value()};
+    std::vector<double> Y;
+    const IntegrationResult R = solve(Name, P, Y);
+    ASSERT_TRUE(R.ok()) << Name;
+    EXPECT_EQ(Factors.value() - Before[0], R.Stats.LuFactorizations) << Name;
+    EXPECT_EQ(ComplexFactors.value() - Before[1],
+              R.Stats.ComplexLuFactorizations)
+        << Name;
+    EXPECT_EQ(Solves.value() - Before[2], R.Stats.LuSolves) << Name;
+    EXPECT_EQ(Newton.value() - Before[3], R.Stats.NewtonIterations) << Name;
+    EXPECT_GT(R.Stats.LuFactorizations, 0u) << Name;
+    EXPECT_GT(R.Stats.NewtonIterations, 0u) << Name;
+    if (Name == "radau5")
+      EXPECT_EQ(R.Stats.ComplexLuFactorizations, R.Stats.LuFactorizations);
+    else
+      EXPECT_EQ(R.Stats.LuSolves, R.Stats.NewtonIterations);
+  }
 }
 
 //===----------------------------------------------------------------------===//
