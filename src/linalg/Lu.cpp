@@ -32,13 +32,30 @@
 // exception is a signaling NaN in A or B, which no arithmetic produces:
 // a skipped subtraction would have quieted it.
 //
+// factorShifted() with a pattern runs the same steps over the pattern's
+// symbolic LU fill only. Entries outside the fill are +0 in the dense
+// algorithm too, given no -0 input: an update reaches an entry only
+// through a nonzero multiplier and a nonzero U entry, and both lie in the
+// fill, so their product's target does as well. The one exception is the
+// zero quotient of a negative pivot, which this path writes outside the
+// fill too. Storage outside the fill is +0 between calls while CleanId
+// names the pattern; a new pattern, a general-path call or a zero
+// quotient outside the fill costs one zero-fill. Partial pivoting that
+// would swap rows, a non-finite Scale (it would reach every entry), pivot
+// or multiplier (the general path's dense updates), and a formed -0 (the
+// general path's dense input) hand over to the general path.
+//
 //===----------------------------------------------------------------------===//
 
 #include "linalg/Lu.h"
 
+#include "support/Metrics.h"
+
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 
 using namespace psg;
 
@@ -65,19 +82,234 @@ bool isPositiveZero(const std::complex<double> &V) {
   return isPositiveZero(V.real()) && isPositiveZero(V.imag());
 }
 
+/// True when \p V, or for complex either component, is -0.
+bool hasNegativeZero(double V) {
+  return std::bit_cast<uint64_t>(V) == uint64_t{1} << 63;
+}
+bool hasNegativeZero(const std::complex<double> &V) {
+  return hasNegativeZero(V.real()) || hasNegativeZero(V.imag());
+}
+
 /// True when any of the \p Count doubles at \p P is -0.
 bool anyNegativeZero(const double *P, size_t Count) {
-  constexpr uint64_t NegativeZero = uint64_t{1} << 63;
   bool Found = false;
   for (size_t I = 0; I < Count; ++I)
-    Found |= std::bit_cast<uint64_t>(P[I]) == NegativeZero;
+    Found |= hasNegativeZero(P[I]);
   return Found;
 }
+
+/// Entries of Shift*I - Scale*J from Scaled = Scale*J(R, C): off the
+/// diagonal 0 - Scaled, which is never -0, with a +0 imaginary part.
+template <typename T> T offDiagonal(double Scaled) { return T(0.0 - Scaled); }
+double onDiagonal(double Shift, double Scaled) { return Shift - Scaled; }
+std::complex<double> onDiagonal(const std::complex<double> &Shift,
+                                double Scaled) {
+  return {Shift.real() - Scaled, Shift.imag()};
+}
+
+/// Forms the whole matrix Shift*I - Scale*J into \p M.
+template <typename T>
+void formShifted(DenseMatrix<T> &M, T Shift, double Scale, const Matrix &J) {
+  const size_t N = J.rows();
+  M.ensureShape(N, N);
+  for (size_t R = 0; R < N; ++R) {
+    const double *JRow = J.rowData(R);
+    T *Row = M.rowData(R);
+    for (size_t C = 0; C < N; ++C)
+      Row[C] = offDiagonal<T>(Scale * JRow[C]);
+    Row[R] = onDiagonal(Shift, Scale * JRow[R]);
+  }
+}
 } // namespace
+
+void SymbolicLu::build(const SparsityPattern &P) {
+  const size_t N = P.Order;
+  Id = P.Id;
+  RowBegin.assign(1, 0);
+  Diag.resize(N);
+  Cols.clear();
+  std::vector<size_t> Mark(N, N); // The last row that holds each column.
+  std::vector<uint32_t> Row;
+  for (size_t R = 0; R < N; ++R) {
+    Row.assign(P.Cols + P.RowBegin[R], P.Cols + P.RowBegin[R + 1]);
+    assert(std::adjacent_find(Row.begin(), Row.end(),
+                              std::greater_equal<uint32_t>()) == Row.end() &&
+           "pattern columns must ascend");
+    for (uint32_t C : Row)
+      Mark[C] = R;
+    if (Mark[R] != R) {
+      Mark[R] = R;
+      Row.insert(std::lower_bound(Row.begin(), Row.end(), R),
+                 static_cast<uint32_t>(R));
+    }
+    // U's row K holds columns above K only, so they are inserted after
+    // position I and each one below R is merged in turn.
+    for (size_t I = 0; Row[I] < R; ++I) {
+      const size_t K = Row[I];
+      for (size_t E = Diag[K] + 1; E < RowBegin[K + 1]; ++E) {
+        const uint32_t C = Cols[E];
+        if (Mark[C] == R)
+          continue;
+        Mark[C] = R;
+        Row.insert(std::upper_bound(Row.begin() + I + 1, Row.end(), C), C);
+      }
+    }
+    const auto DiagIt = std::lower_bound(Row.begin(), Row.end(), R);
+    Diag[R] = Cols.size() + static_cast<size_t>(DiagIt - Row.begin());
+    Cols.insert(Cols.end(), Row.begin(), Row.end());
+    RowBegin.push_back(Cols.size());
+  }
+
+  // L by columns: the transpose of each row's part left of its diagonal.
+  LBegin.assign(N + 1, 0);
+  for (size_t R = 0; R < N; ++R)
+    for (size_t I = RowBegin[R]; I < Diag[R]; ++I)
+      ++LBegin[Cols[I] + 1];
+  for (size_t K = 0; K < N; ++K)
+    LBegin[K + 1] += LBegin[K];
+  LRows.resize(LBegin[N]);
+  std::vector<size_t> Next(LBegin.begin(), LBegin.end() - 1);
+  for (size_t R = 0; R < N; ++R)
+    for (size_t I = RowBegin[R]; I < Diag[R]; ++I)
+      LRows[Next[Cols[I]]++] = static_cast<uint32_t>(R);
+}
 
 template <typename T> bool LuDecomposition<T>::factor(const DenseMatrix<T> &A) {
   assert(A.isSquare() && "LU of a non-square matrix");
   Lu = A;
+  CleanId = 0;
+  return factorInPlace();
+}
+
+template <typename T>
+bool LuDecomposition<T>::factorShifted(T Shift, double Scale, const Matrix &J,
+                                       const SparsityPattern *P) {
+  static Counter &Fallbacks =
+      metrics().counter("psg.linalg.lu_pattern_fallbacks");
+  assert(J.isSquare() && "Newton matrix of a non-square Jacobian");
+  if (P) {
+    assert(P->Order == J.rows() && "pattern and Jacobian orders differ");
+    switch (factorPattern(Shift, Scale, J, *P)) {
+    case PatternResult::Factored:
+      return true;
+    case PatternResult::Singular:
+      return false;
+    case PatternResult::Fallback:
+      Fallbacks.add();
+      break;
+    }
+  }
+  formShifted(Lu, Shift, Scale, J);
+  CleanId = 0;
+  return factorInPlace();
+}
+
+template <typename T>
+typename LuDecomposition<T>::PatternResult
+LuDecomposition<T>::factorPattern(T Shift, double Scale, const Matrix &J,
+                                  const SparsityPattern &P) {
+  if (!std::isfinite(Scale))
+    return PatternResult::Fallback;
+  const size_t N = J.rows();
+  if (Symbolic.Id != P.Id)
+    Symbolic.build(P);
+  if (CleanId != P.Id) {
+    Lu.resize(N, N);
+    CleanId = P.Id;
+  }
+  const size_t *RowBegin = Symbolic.RowBegin.data();
+  const size_t *Diag = Symbolic.Diag.data();
+  const uint32_t *Cols = Symbolic.Cols.data();
+
+  // Write every filled entry, fill included: outside J's pattern it reads
+  // a +0 of J and becomes +0. Only the diagonal can be formed -0.
+  bool NegativeZero = false;
+  for (size_t R = 0; R < N; ++R) {
+    const double *JRow = J.rowData(R);
+    T *Row = Lu.rowData(R);
+    for (size_t I = RowBegin[R]; I < RowBegin[R + 1]; ++I)
+      Row[Cols[I]] = offDiagonal<T>(Scale * JRow[Cols[I]]);
+    Row[R] = onDiagonal(Shift, Scale * JRow[R]);
+    NegativeZero |= hasNegativeZero(Row[R]);
+  }
+  if (NegativeZero)
+    return PatternResult::Fallback;
+
+  Pivot.resize(N);
+  PivotSign = 1;
+  Valid = false;
+  UStart.assign(N + 1, 0);
+  UCols.clear();
+  for (size_t K = 0; K < N; ++K) {
+    Pivot[K] = K;
+    T *RowK = Lu.rowData(K);
+    const T PivotValue = RowK[K];
+    const uint32_t *LRows = Symbolic.LRows.data() + Symbolic.LBegin[K];
+    const size_t NumLRows = Symbolic.LBegin[K + 1] - Symbolic.LBegin[K];
+
+    // factor()'s pivot search over the rows that can be nonzero: any row
+    // that wins would be swapped in.
+    const double PivotMag = magnitude(PivotValue);
+    for (size_t I = 0; I < NumLRows; ++I) {
+      const T V = Lu(LRows[I], K);
+      if (V != T{} && magnitude(V) > PivotMag)
+        return PatternResult::Fallback;
+    }
+    if (PivotMag == 0.0)
+      return PatternResult::Singular;
+    if (!isFinite(PivotValue))
+      return PatternResult::Fallback;
+
+    for (size_t I = Diag[K] + 1; I < RowBegin[K + 1]; ++I)
+      if (RowK[Cols[I]] != T{})
+        UCols.push_back(Cols[I]);
+    UStart[K + 1] = UCols.size();
+    const size_t *UK = UCols.data() + UStart[K];
+    const size_t NumUK = UStart[K + 1] - UStart[K];
+
+    const T ZeroQuotient = T{} / PivotValue;
+    const bool WriteZeroQuotient = !isPositiveZero(ZeroQuotient);
+    for (size_t I = 0; I < NumLRows; ++I) {
+      T *RowR = Lu.rowData(LRows[I]);
+      if (RowR[K] == T{}) {
+        if (WriteZeroQuotient)
+          RowR[K] = ZeroQuotient;
+        continue;
+      }
+      const T Factor = RowR[K] / PivotValue;
+      RowR[K] = Factor;
+      if (Factor == T{})
+        continue;
+      if (!isFinite(Factor))
+        return PatternResult::Fallback;
+      for (size_t E = 0; E < NumUK; ++E)
+        RowR[UK[E]] -= Factor * RowK[UK[E]];
+    }
+    if (WriteZeroQuotient && NumLRows < N - 1 - K) {
+      for (size_t R = K + 1, I = 0; R < N; ++R) {
+        if (I < NumLRows && LRows[I] == R)
+          ++I;
+        else
+          Lu(R, K) = ZeroQuotient;
+      }
+      CleanId = 0;
+    }
+  }
+
+  LStart.assign(N + 1, 0);
+  LCols.clear();
+  for (size_t R = 0; R < N; ++R) {
+    const T *Row = Lu.rowData(R);
+    for (size_t I = RowBegin[R]; I < Diag[R]; ++I)
+      if (Row[Cols[I]] != T{})
+        LCols.push_back(Cols[I]);
+    LStart[R + 1] = LCols.size();
+  }
+  Valid = true;
+  return PatternResult::Factored;
+}
+
+template <typename T> bool LuDecomposition<T>::factorInPlace() {
   const size_t N = Lu.rows();
   Pivot.resize(N);
   PivotSign = 1;

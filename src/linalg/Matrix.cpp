@@ -6,9 +6,15 @@
 
 #include "linalg/Matrix.h"
 
+#include <atomic>
 #include <cmath>
 
 using namespace psg;
+
+uint64_t psg::nextPatternEpoch() {
+  static std::atomic<uint64_t> Counter{0};
+  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 double psg::infinityNorm(const Matrix &M) {
   double Max = 0.0;

@@ -17,6 +17,7 @@
 #include <cassert>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace psg {
@@ -161,6 +162,12 @@ private:
 
 using Matrix = DenseMatrix<double>;
 using ComplexMatrix = DenseMatrix<std::complex<double>>;
+
+/// Returns a nonzero token that no earlier call in this process returned.
+/// claimPattern() epochs and SparsityPattern ids come from it, so neither
+/// can collide with one of a dead owner or pattern allocated at the same
+/// address.
+uint64_t nextPatternEpoch();
 
 /// Returns the max-row-sum (infinity) norm of \p M.
 double infinityNorm(const Matrix &M);

@@ -88,6 +88,7 @@ bool MultistepDriver::reset(const OdeSystem &System,
     V->assign(N, 0.0);
   YHist.assign(MaxHistory, std::vector<double>(N));
   FHist.assign(MaxHistory, std::vector<double>(N));
+  DiffRows.assign(MaxHistory, std::vector<double>(N));
   return false;
 }
 
@@ -135,6 +136,41 @@ void MultistepDriver::switchMethod(MultistepMethod NewMethod) {
   ++Stats.SolverSwitches;
 }
 
+void multistepdetail::resampleRows(std::vector<double> *Rows, size_t K,
+                                   size_t N, double Spacing, double NewSpacing,
+                                   std::vector<double> *Diff) {
+  assert(K >= 2 && K <= MaxHistory && "history row count out of range");
+  double X[MaxHistory], XNew[MaxHistory];
+  for (size_t JJ = 0; JJ < K; ++JJ) {
+    X[JJ] = -static_cast<double>(JJ) * Spacing;
+    XNew[JJ] = -static_cast<double>(JJ) * NewSpacing;
+  }
+  // Divided differences, from the top row down at each level so row
+  // JJ - 1 still holds the previous level. Level 1 reads Rows, and row 0,
+  // which no level changes, is read from Rows throughout.
+  for (size_t Level = 1; Level < K; ++Level)
+    for (size_t JJ = K - 1; JJ >= Level; --JJ) {
+      const double Den = X[JJ] - X[JJ - Level];
+      const double *Upper = (Level == 1 ? Rows[JJ] : Diff[JJ]).data();
+      const double *Lower = (Level == 1 ? Rows[JJ - 1] : Diff[JJ - 1]).data();
+      double *Out = Diff[JJ].data();
+      for (size_t I = 0; I < N; ++I)
+        Out[I] = (Upper[I] - Lower[I]) / Den;
+    }
+  // Horner evaluation at the new nodes; row 0 is unchanged by
+  // construction.
+  for (size_t Target = 1; Target < K; ++Target) {
+    double *Out = Rows[Target].data();
+    std::copy_n(Diff[K - 1].data(), N, Out);
+    for (size_t Level = K - 1; Level-- > 0;) {
+      const double Factor = XNew[Target] - X[Level];
+      const double *Add = Level == 0 ? Rows[0].data() : Diff[Level].data();
+      for (size_t I = 0; I < N; ++I)
+        Out[I] = Out[I] * Factor + Add[I];
+    }
+  }
+}
+
 void MultistepDriver::resampleHistory(double NewSpacing) {
   assert(NewSpacing != 0.0 && "zero history spacing");
   if (HistCount <= 1 || NewSpacing == Spacing) {
@@ -146,34 +182,10 @@ void MultistepDriver::resampleHistory(double NewSpacing) {
   // (step growth) oscillates wildly, while extrapolating the degree <= q+1
   // polynomial is exactly the Nordsieck rescale and stays benign.
   HistCount = std::min<size_t>(HistCount, Order + 2);
-  // Per-component Newton divided differences over nodes X[j] = -j*Spacing,
-  // evaluated at -j*NewSpacing. Resample both Y and F history.
-  const size_t K = HistCount;
-  std::vector<double> X(K), XNew(K), Diff(K);
-  for (size_t JJ = 0; JJ < K; ++JJ) {
-    X[JJ] = -static_cast<double>(JJ) * Spacing;
-    XNew[JJ] = -static_cast<double>(JJ) * NewSpacing;
-  }
-  auto resample = [&](std::vector<std::vector<double>> &Rows) {
-    for (size_t I = 0; I < N; ++I) {
-      for (size_t JJ = 0; JJ < K; ++JJ)
-        Diff[JJ] = Rows[JJ][I];
-      // Build divided differences in place.
-      for (size_t Level = 1; Level < K; ++Level)
-        for (size_t JJ = K - 1; JJ >= Level; --JJ)
-          Diff[JJ] =
-              (Diff[JJ] - Diff[JJ - 1]) / (X[JJ] - X[JJ - Level]);
-      // Evaluate at the new nodes (row 0 is unchanged by construction).
-      for (size_t Target = 1; Target < K; ++Target) {
-        double Value = Diff[K - 1];
-        for (size_t Level = K - 1; Level-- > 0;)
-          Value = Value * (XNew[Target] - X[Level]) + Diff[Level];
-        Rows[Target][I] = Value;
-      }
-    }
-  };
-  resample(YHist);
-  resample(FHist);
+  multistepdetail::resampleRows(YHist.data(), HistCount, N, Spacing,
+                                NewSpacing, DiffRows.data());
+  multistepdetail::resampleRows(FHist.data(), HistCount, N, Spacing,
+                                NewSpacing, DiffRows.data());
   Spacing = NewSpacing;
   HaveFactorization = false; // Newton matrix depends on the step.
 }
@@ -215,12 +227,8 @@ bool MultistepDriver::solveBdfCorrector(double Hs, double TNew,
     JacobianReuses.add();
   }
   if (!HaveFactorization || FactoredH != Hs || FactoredOrder != Q) {
-    Matrix M(N, N);
-    for (size_t R = 0; R < N; ++R)
-      for (size_t C = 0; C < N; ++C)
-        M(R, C) = (R == C ? 1.0 : 0.0) - Hs * Beta * J(R, C);
     ++Stats.LuFactorizations;
-    if (!Newton.factor(M)) {
+    if (!Newton.factorShifted(1.0, Hs * Beta, J, Sys->jacobianPattern())) {
       Failure = IntegrationStatus::SingularMatrix;
       return false;
     }
@@ -331,13 +339,23 @@ IntegrationStatus MultistepDriver::advance() {
                                               YCorr.data(), N, Opts.AbsTol,
                                               Opts.RelTol);
     } else {
-      // Polynomial-extrapolation predictor over up to Q+1 rows.
-      const unsigned Degree = std::min<unsigned>(Q, HistCount - 1);
-      std::fill(YPred.begin(), YPred.end(), 0.0);
-      for (unsigned JJ = 0; JJ <= Degree; ++JJ) {
-        const double Coef =
-            (JJ % 2 == 0 ? 1.0 : -1.0) * binomial(Degree + 1, JJ + 1);
-        axpy(Coef, YHist[JJ].data(), YPred.data(), N);
+      // Polynomial-extrapolation predictor over up to Q+1 rows. A run
+      // that began on BDF starts with one row, and predicting the constant
+      // Y would make the error estimate O(h), which drives h to zero on a
+      // stiff start; it takes the degree-1 predictor Y + h*f instead. A
+      // switch from Adams keeps the constant one.
+      unsigned Degree = std::min<unsigned>(Q, HistCount - 1);
+      if (Degree == 0 && Stats.SolverSwitches == 0) {
+        YPred = Y;
+        axpy(Hs, CurrF.data(), YPred.data(), N);
+        Degree = 1;
+      } else {
+        std::fill(YPred.begin(), YPred.end(), 0.0);
+        for (unsigned JJ = 0; JJ <= Degree; ++JJ) {
+          const double Coef =
+              (JJ % 2 == 0 ? 1.0 : -1.0) * binomial(Degree + 1, JJ + 1);
+          axpy(Coef, YHist[JJ].data(), YPred.data(), N);
+        }
       }
       IntegrationStatus Failure = IntegrationStatus::NewtonFailure;
       if (!solveBdfCorrector(Hs, TNew, Failure)) {

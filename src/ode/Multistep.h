@@ -101,6 +101,8 @@ private:
   // History rows j = 0.. at times T - j*Spacing (row 0 = current point).
   std::vector<std::vector<double>> YHist, FHist;
   size_t HistCount = 0;
+  /// Divided-difference rows for resampleHistory().
+  std::vector<std::vector<double>> DiffRows;
 
   // BDF Newton workspace.
   Matrix J;
@@ -130,6 +132,18 @@ private:
   bool solveBdfCorrector(double Hs, double TNew, IntegrationStatus &Failure);
   void adaptOrderAfterAccept();
 };
+
+namespace multistepdetail {
+/// Moves history onto a new spacing: row J of \p Rows (J < K, 2 <= K <=
+/// MultistepDriver::MaxOrder + 2) holds N values at -J*Spacing and is
+/// replaced by their interpolating polynomial's values at -J*NewSpacing;
+/// row 0 keeps its values. The Newton divided differences and the Horner
+/// evaluation run level by level and row by row over all N components at
+/// once, each component with the operations, in the order, of evaluating
+/// it alone. \p Diff provides K scratch rows of N (row 0 unused).
+void resampleRows(std::vector<double> *Rows, size_t K, size_t N,
+                  double Spacing, double NewSpacing, std::vector<double> *Diff);
+} // namespace multistepdetail
 
 /// Adams-Bashforth-Moulton PECE solver ("adams"), orders 1-5.
 class AdamsSolver : public OdeSolver {

@@ -22,6 +22,8 @@
 
 namespace psg {
 
+struct SparsityPattern;
+
 /// An autonomous-or-not system dy/dt = f(t, y) of fixed dimension.
 class OdeSystem {
 public:
@@ -39,6 +41,15 @@ public:
   /// Fills \p J with df/dy at (T, Y). Only called when
   /// hasAnalyticJacobian() is true; the default aborts.
   virtual void analyticJacobian(double T, const double *Y, Matrix &J) const;
+
+  /// The sparsity pattern of analyticJacobian(), or null (the default)
+  /// when the system names none. A system that returns one has an analytic
+  /// Jacobian, writes it only inside the pattern and leaves every other
+  /// entry of J at +0, so the implicit solvers can factor their Newton
+  /// matrices over the pattern (LuDecomposition::factorShifted). A system
+  /// that wraps another and changes or merely forwards its Jacobian keeps
+  /// the default: the guarantee is the inner system's alone.
+  virtual const SparsityPattern *jacobianPattern() const { return nullptr; }
 
   /// Human-readable name for reports.
   virtual std::string name() const { return "ode-system"; }

@@ -129,9 +129,9 @@ private:
 
 /// Per-solver working storage, reused across integrate() calls. Stage and
 /// Newton vectors are fully written before being read in every step; the
-/// iteration matrices and LU factors are rebuilt before their first solve
-/// of each integration (NeedJacobian/NeedFactor start true); interpolant
-/// staleness is guarded by the FirstStep flag.
+/// LU factors of the iteration matrices are rebuilt before their first
+/// solve of each integration (NeedJacobian/NeedFactor start true);
+/// interpolant staleness is guarded by the FirstStep flag.
 struct Radau5Solver::Workspace {
   size_t N = 0;
   std::vector<double> F0, F1, F2, F3;
@@ -139,8 +139,7 @@ struct Radau5Solver::Workspace {
   std::vector<double> W1, W2, W3;
   std::vector<double> DW1, ErrVec, Scratch;
   std::vector<std::complex<double>> CRhs;
-  Matrix J, E1;
-  ComplexMatrix E2;
+  Matrix J;
   RealLu RealDecomp;
   ComplexLu ComplexDecomp;
   Interpolant Interp{0};
@@ -236,8 +235,7 @@ IntegrationResult Radau5Solver::integrate(const OdeSystem &Sys, double T0,
   std::vector<double> &DW1 = Ws->DW1, &ErrVec = Ws->ErrVec,
                       &Scratch = Ws->Scratch;
   std::vector<std::complex<double>> &CRhs = Ws->CRhs;
-  Matrix &J = Ws->J, &E1 = Ws->E1;
-  ComplexMatrix &E2 = Ws->E2;
+  Matrix &J = Ws->J;
   RealLu &RealDecomp = Ws->RealDecomp;
   ComplexLu &ComplexDecomp = Ws->ComplexDecomp;
   auto &Interp = Ws->Interp;
@@ -257,22 +255,17 @@ IntegrationResult Radau5Solver::integrate(const OdeSystem &Sys, double T0,
   double FactoredH = 0.0;
   double Theta = 0.0;
 
+  // The real and complex iteration matrices Fac1*I - J and
+  // (AlphN + i*BetaN)*I - J.
+  const SparsityPattern *Pattern = Sys.jacobianPattern();
   auto factorMatrices = [&](double Step) -> bool {
     const double Fac1 = EC.U1 / Step;
     const double AlphN = EC.Alph / Step;
     const double BetaN = EC.Beta / Step;
-    E1.resize(N, N);
-    E2.resize(N, N);
-    for (size_t R = 0; R < N; ++R)
-      for (size_t C = 0; C < N; ++C) {
-        const double JV = J(R, C);
-        E1(R, C) = (R == C ? Fac1 : 0.0) - JV;
-        E2(R, C) = std::complex<double>((R == C ? AlphN : 0.0) - JV,
-                                        R == C ? BetaN : 0.0);
-      }
     ++Result.Stats.LuFactorizations;
     ++Result.Stats.ComplexLuFactorizations;
-    if (!RealDecomp.factor(E1) || !ComplexDecomp.factor(E2))
+    if (!RealDecomp.factorShifted(Fac1, 1.0, J, Pattern) ||
+        !ComplexDecomp.factorShifted({AlphN, BetaN}, 1.0, J, Pattern))
       return false;
     FactoredH = Step;
     NeedFactor = false;

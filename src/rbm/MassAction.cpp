@@ -46,15 +46,6 @@ private:
   uint64_t H = 0xCBF29CE484222325ull;
 };
 
-/// Process-wide source of pattern epochs (see CompiledOdeSystem::
-/// PatternEpoch): never reused, so a workspace claimed under an old epoch
-/// can never collide with a new view allocated at the same address.
-std::atomic<uint64_t> PatternEpochCounter{0};
-
-uint64_t nextPatternEpoch() {
-  return PatternEpochCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 /// Process-wide kernel-path switch (see setUseReferenceKernelsForTesting).
 std::atomic<bool> UseReferenceKernelsFlag{false};
 } // namespace
@@ -314,6 +305,7 @@ CompiledModel::CompiledModel(const ReactionNetwork &Net)
         (TermBegin[R + 1] - TermBegin[R]) * (NetBegin[R + 1] - NetBegin[R]);
 
   Fingerprint = networkFingerprint(Net);
+  JacPatternId = nextPatternEpoch();
 }
 
 std::shared_ptr<const CompiledModel>
@@ -343,6 +335,7 @@ CompiledOdeSystem::CompiledOdeSystem(std::shared_ptr<const CompiledModel> Model)
       PatternEpoch(nextPatternEpoch()) {
   for (uint32_t P = 0; P < Shared->NumReactions; ++P)
     RatePermuted[P] = RateConstants[Shared->RunOrder[P]];
+  bindModel();
 }
 
 void CompiledOdeSystem::rebind(std::shared_ptr<const CompiledModel> Model) {
@@ -356,6 +349,14 @@ void CompiledOdeSystem::rebind(std::shared_ptr<const CompiledModel> Model) {
   // The Jacobian pattern (and thus the meaning of a claimed workspace)
   // may have changed with the model; retire the old epoch.
   PatternEpoch = nextPatternEpoch();
+  bindModel();
+}
+
+void CompiledOdeSystem::bindModel() {
+  JacPattern.Order = Shared->NumSpecies;
+  JacPattern.RowBegin = Shared->JacRowBegin.data();
+  JacPattern.Cols = Shared->JacCol.data();
+  JacPattern.Id = Shared->JacPatternId;
 }
 
 void CompiledOdeSystem::setRateConstants(const std::vector<double> &K) {

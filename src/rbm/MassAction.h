@@ -25,6 +25,7 @@
 #ifndef PSG_RBM_MASSACTION_H
 #define PSG_RBM_MASSACTION_H
 
+#include "linalg/Lu.h"
 #include "ode/OdeSystem.h"
 #include "rbm/ReactionNetwork.h"
 
@@ -180,6 +181,10 @@ public:
   /// Number of structurally nonzero Jacobian entries.
   size_t jacNonZeros() const { return JacCol.size(); }
 
+  /// Id of the JacRowBegin/JacCol pattern (SparsityPattern::Id), drawn
+  /// once per compilation from nextPatternEpoch().
+  uint64_t JacPatternId = 0;
+
   EvaluationProfile Profile;
 
   /// Structural + kinetic fingerprint of the source network (see
@@ -220,6 +225,10 @@ public:
   void rhs(double T, const double *Y, double *DyDt) const override;
   bool hasAnalyticJacobian() const override { return true; }
   void analyticJacobian(double T, const double *Y, Matrix &J) const override;
+  /// The model's JacRowBegin/JacCol: both kernels write only there.
+  const SparsityPattern *jacobianPattern() const override {
+    return &JacPattern;
+  }
   std::string name() const override { return Shared->SystemName; }
 
   /// The pre-partition evaluation kernels: one loop over reactions in
@@ -291,7 +300,11 @@ private:
   /// workspace claimed by a dead view (or by this view against an old
   /// model) is never mistaken for current.
   uint64_t PatternEpoch = 0;
+  /// View of the shared model's Jacobian pattern.
+  SparsityPattern JacPattern;
 
+  /// Points JacPattern at Shared's Jacobian pattern.
+  void bindModel();
   void computeRates(const double *Y) const;
   double saturatingFactor(size_t R, double S) const;
   double saturatingFactorDerivative(size_t R, double S) const;

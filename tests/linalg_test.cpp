@@ -17,9 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
 
@@ -768,4 +771,483 @@ TEST(LuTest, StructuredFactorMatchesDenseBits) {
                             << " factorizations and " << Solves << " solves";
   EXPECT_GT(Factorizations, 17000u);
   EXPECT_GT(Solves, 55000u);
+}
+
+//===----------------------------------------------------------------------===//
+// Newton matrices over a sparsity pattern against the dense oracle.
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// A sparsity pattern with its own storage and a fresh id.
+struct OwnedPattern {
+  std::vector<uint32_t> RowBegin{0}, Cols;
+  SparsityPattern View;
+
+  /// Row I holds column C with probability \p Density.
+  OwnedPattern(Rng &R, size_t N, double Density) {
+    for (size_t I = 0; I < N; ++I) {
+      for (size_t C = 0; C < N; ++C)
+        if (R.uniform() < Density)
+          Cols.push_back(static_cast<uint32_t>(C));
+      RowBegin.push_back(static_cast<uint32_t>(Cols.size()));
+    }
+    bind();
+  }
+
+  /// The same row lengths as \p Other, on other random columns.
+  OwnedPattern(Rng &R, const OwnedPattern &Other) {
+    const size_t N = Other.View.Order;
+    for (size_t I = 0; I < N; ++I) {
+      std::vector<uint32_t> All(N);
+      for (size_t C = 0; C < N; ++C)
+        All[C] = static_cast<uint32_t>(C);
+      for (size_t C = N; C > 1; --C)
+        std::swap(All[C - 1], All[R.uniformInt(C)]);
+      All.resize(Other.RowBegin[I + 1] - Other.RowBegin[I]);
+      std::sort(All.begin(), All.end());
+      Cols.insert(Cols.end(), All.begin(), All.end());
+      RowBegin.push_back(static_cast<uint32_t>(Cols.size()));
+    }
+    bind();
+  }
+
+  OwnedPattern(const OwnedPattern &) = delete;
+  OwnedPattern &operator=(const OwnedPattern &) = delete;
+
+  void bind() {
+    View = {RowBegin.size() - 1, RowBegin.data(), Cols.data(),
+            nextPatternEpoch()};
+  }
+};
+
+/// A Jacobian that is +0 outside \p P and random inside it, where a
+/// fraction \p Zeros of the entries stays +0 too.
+Matrix randomJacobian(Rng &R, const OwnedPattern &P, double Zeros) {
+  const size_t N = P.View.Order;
+  Matrix J(N, N);
+  for (size_t I = 0; I < N; ++I)
+    for (uint32_t E = P.RowBegin[I]; E < P.RowBegin[I + 1]; ++E)
+      if (R.uniform() >= Zeros)
+        J(I, P.Cols[E]) = randomEntry(R);
+  return J;
+}
+
+/// Shift*I - Scale*J as the solvers formed it before factorShifted().
+template <typename T>
+DenseMatrix<T> formNewton(T Shift, double Scale, const Matrix &J) {
+  const size_t N = J.rows();
+  DenseMatrix<T> M(N, N);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t C = 0; C < N; ++C) {
+      if constexpr (std::is_same_v<T, double>)
+        M(I, C) = (I == C ? Shift : 0.0) - Scale * J(I, C);
+      else
+        M(I, C) = Complex((I == C ? Shift.real() : 0.0) - Scale * J(I, C),
+                          I == C ? Shift.imag() : 0.0);
+    }
+  return M;
+}
+
+/// Compares factorShifted() on \p Got with the dense oracle on the formed
+/// matrix: the return value, the determinant and every solved component.
+/// Returns a description of the first difference, empty when none.
+template <typename T>
+std::string compareNewton(LuDecomposition<T> &Got, T Shift, double Scale,
+                          const Matrix &J, const SparsityPattern *P,
+                          const std::vector<std::vector<T>> &Rhs) {
+  DenseLuOracle<T> Want;
+  const bool WantOk = Want.factor(formNewton(Shift, Scale, J));
+  const bool GotOk = Got.factorShifted(Shift, Scale, J, P);
+  if (GotOk != WantOk)
+    return std::string("factorShifted() returned ") +
+           (GotOk ? "true" : "false");
+  if (!WantOk)
+    return {};
+  if (!sameBits(Got.determinant(), Want.determinant()))
+    return "determinant differs";
+  for (size_t I = 0; I < Rhs.size(); ++I) {
+    std::vector<T> X = Rhs[I], Y = Rhs[I];
+    Want.solve(X.data());
+    Got.solve(Y.data());
+    for (size_t K = 0; K < X.size(); ++K)
+      if (!sameBits(Y[K], X[K]))
+        return "right-hand side " + std::to_string(I) + ", component " +
+               std::to_string(K) + " differs";
+  }
+  return {};
+}
+
+/// randomRhs() for a nonempty system, no right-hand side for an empty one.
+template <typename T>
+std::vector<std::vector<T>> newtonRhs(Rng &R, size_t N) {
+  return N == 0 ? std::vector<std::vector<T>>() : randomRhs<T>(R, N);
+}
+
+/// A shift of random sign and magnitude; a complex one has a random sign
+/// per component and now and then a zero imaginary part.
+template <typename T> T randomShift(Rng &R) {
+  if constexpr (std::is_same_v<T, double>)
+    return randomEntry(R);
+  else
+    return {randomEntry(R), R.uniform() < 0.2 ? 0.0 : randomEntry(R)};
+}
+
+/// A shift of magnitude 0.1-10 and random sign (per component).
+template <typename T> T unitShift(Rng &R) {
+  auto Draw = [&] {
+    return (R.uniform() < 0.5 ? -1.0 : 1.0) * std::pow(10.0, R.uniform(-1, 1));
+  };
+  if constexpr (std::is_same_v<T, double>)
+    return Draw();
+  else
+    return {Draw(), R.uniform() < 0.2 ? 0.0 : Draw()};
+}
+} // namespace
+
+TEST(LuTest, PatternFactorMatchesDenseBits) {
+  // factorShifted() over a pattern must return the bits factor() returns
+  // on the formed Newton matrix, on every kind of matrix, including those
+  // that fall back: row swaps, negative pivots (zero quotients), singular
+  // columns, special values in J, and special Shifts and Scales. One
+  // LuDecomposition per element type serves the whole sweep and factors
+  // each pattern several times, as a solver does.
+  size_t Factorizations = 0, Mismatches = 0;
+  const uint64_t FallbacksBefore =
+      metrics().snapshot().counterValue("psg.linalg.lu_pattern_fallbacks");
+  LuDecomposition<double> RealGot;
+  LuDecomposition<Complex> ComplexGot;
+  auto Check = [&]<typename T>(const char *Family, LuDecomposition<T> &Got,
+                               T Shift, double Scale, const Matrix &J,
+                               const SparsityPattern *P) {
+    Rng RhsRng(Factorizations);
+    const std::string Diff =
+        compareNewton(Got, Shift, Scale, J, P, newtonRhs<T>(RhsRng, J.rows()));
+    ++Factorizations;
+    if (!Diff.empty() && ++Mismatches <= 5)
+      ADD_FAILURE() << Family << " of order " << J.rows() << ": " << Diff;
+  };
+  Rng R(20261018);
+  using Limits = std::numeric_limits<double>;
+  const double Specials[] = {
+      -0.0,
+      Limits::quiet_NaN(),
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::denorm_min(),
+      -3 * Limits::denorm_min(),
+      Limits::min() / 8,
+      Limits::max(),
+      -Limits::max(),
+  };
+
+  // Seeded patterns of order 0-40 and density 2-100%. Most variants keep
+  // the shift near 1 and Scale*J mostly below it (the pattern path, with
+  // negative pivots from negative shifts); variants 2 and 5 let J dominate
+  // (row swaps).
+  auto CheckRandom = [&]<typename T>(LuDecomposition<T> &Got) {
+    for (size_t N = 0; N <= 40; ++N)
+      for (double Density : {0.02, 0.05, 0.1, 0.3, 0.6, 1.0})
+        for (int Variant = 0; Variant < 6; ++Variant) {
+          OwnedPattern P(R, N, Density);
+          const bool Dominant = Variant == 2 || Variant == 5;
+          const T Shift = Dominant ? randomShift<T>(R) : unitShift<T>(R);
+          for (int Refactor = 0; Refactor < 3; ++Refactor) {
+            Matrix J = randomJacobian(R, P, Variant == 5 ? 0.5 : 0.1);
+            double Scale = std::pow(10.0, R.uniform(-12, -5));
+            if (Variant == 1)
+              Scale = -Scale;
+            if (Dominant)
+              Scale = std::pow(10.0, R.uniform(-4, 2));
+            if (Variant == 3 && N > 0) {
+              // A zero row and column of J under a zero shift: singular.
+              const size_t Row = R.uniformInt(N);
+              for (size_t C = 0; C < N; ++C)
+                J(Row, C) = J(C, Row) = 0.0;
+              Check("singular Newton matrix", Got, T{}, Scale, J, &P.View);
+              continue;
+            }
+            if (Variant == 4 && N > 0) {
+              const uint64_t Count = 1 + R.uniformInt(3);
+              for (uint64_t I = 0; I < Count; ++I) {
+                const size_t Row = R.uniformInt(N);
+                const uint32_t Begin = P.RowBegin[Row];
+                const uint32_t Length = P.RowBegin[Row + 1] - Begin;
+                if (Length == 0)
+                  continue;
+                const uint32_t Col = P.Cols[Begin + R.uniformInt(Length)];
+                J(Row, Col) = Specials[R.uniformInt(std::size(Specials))];
+              }
+            }
+            Check("random Newton matrix", Got, Shift, Scale, J, &P.View);
+          }
+        }
+  };
+  CheckRandom(RealGot);
+  CheckRandom(ComplexGot);
+
+  // Special Shifts and Scales: 0, ±Inf, NaN, and a -0 shift, which forms
+  // a -0 wherever the diagonal of J is zero.
+  const double Scales[] = {
+      0.0,
+      -0.0,
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::quiet_NaN(),
+      1e-3,
+      -1e-3,
+  };
+  const double Shifts[] = {
+      0.0,
+      -0.0,
+      Limits::infinity(),
+      Limits::quiet_NaN(),
+      Limits::denorm_min(),
+  };
+  for (size_t N = 1; N <= 12; ++N)
+    for (int Rep = 0; Rep < 20; ++Rep) {
+      OwnedPattern P(R, N, 0.3);
+      const Matrix J = randomJacobian(R, P, 0.2);
+      for (double Scale : Scales) {
+        Check("special Scale", RealGot, randomShift<double>(R), Scale, J,
+              &P.View);
+        Check("special Scale", ComplexGot, randomShift<Complex>(R), Scale, J,
+              &P.View);
+      }
+      for (double Shift : Shifts) {
+        Check("special shift", RealGot, Shift, 0.5, J, &P.View);
+        Check("special shift", ComplexGot, Complex(Shift, -0.0), 0.5, J,
+              &P.View);
+        Check("special shift", ComplexGot, Complex(1.0, Shift), 0.5, J,
+              &P.View);
+      }
+    }
+
+  // Newton matrices of the implicit solvers on the compiled models'
+  // patterns: I - h*beta*J (BDF, LSODA, VODE) and gamma/h*I - J,
+  // (alpha + i*beta)/h*I - J (RADAU5).
+  const ReactionNetwork Nets[] = {
+      makeMetabolicSurrogate().Net,
+      makeAutophagySurrogate(16, 8).Net,
+      makeDecayChainNetwork(12, 6.0),
+  };
+  const double Gamma = radau5detail::gammaReal();
+  const double Alpha = radau5detail::alphaComplex();
+  const double Beta = radau5detail::betaComplex();
+  for (const ReactionNetwork &Net : Nets) {
+    CompiledOdeSystem Sys(Net);
+    const SparsityPattern *P = Sys.jacobianPattern();
+    ASSERT_NE(P, nullptr);
+    const std::vector<double> Y0 = Net.initialState();
+    const std::vector<double> K0 = Sys.rateConstants();
+    for (int Trial = 0; Trial < 10; ++Trial) {
+      std::vector<double> Y = Y0, K = K0;
+      if (Trial > 0) {
+        for (double &X : Y)
+          X = R.uniform() < 0.1 ? 0.0 : X * std::exp(R.uniform(-2, 2));
+        for (double &X : K)
+          X *= std::exp(R.uniform(-3, 3));
+      }
+      Sys.setRateConstants(K);
+      std::vector<double> F0(Y.size());
+      Sys.rhs(0.0, Y.data(), F0.data());
+      Matrix J;
+      Sys.jacobian(0.0, Y.data(), F0.data(), J);
+      for (double H : {1e-6, 1e-3, 0.1, 10.0}) {
+        Check("BDF Newton matrix", RealGot, 1.0, H * (2.0 / 3.0), J, P);
+        Check("RADAU5 real Newton matrix", RealGot, Gamma / H, 1.0, J, P);
+        Check("RADAU5 complex Newton matrix", ComplexGot,
+              Complex(Alpha / H, Beta / H), 1.0, J, P);
+      }
+    }
+  }
+
+  EXPECT_EQ(Mismatches, 0u) << "of " << Factorizations << " factorizations";
+  EXPECT_GT(Factorizations, 9000u);
+  const uint64_t Fallbacks =
+      metrics().snapshot().counterValue("psg.linalg.lu_pattern_fallbacks") -
+      FallbacksBefore;
+  // Both paths ran, each on thousands of matrices.
+  EXPECT_GT(Fallbacks, 2000u);
+  EXPECT_GT(Factorizations - Fallbacks, 5000u);
+}
+
+TEST(LuTest, PatternSequenceMatchesDenseBits) {
+  // One LuDecomposition through a seeded mix of two live patterns of the
+  // same order, null-pattern calls, factor() calls and fallbacks: none of
+  // them may leave storage the next one mistakes for its own.
+  Rng R(4242);
+  size_t Steps = 0, Mismatches = 0;
+  auto Report = [&](const std::string &Diff, const char *What) {
+    ++Steps;
+    if (!Diff.empty() && ++Mismatches <= 5)
+      ADD_FAILURE() << What << " at step " << Steps << ": " << Diff;
+  };
+  auto Run = [&]<typename T>(LuDecomposition<T> &Got) {
+    for (size_t N : {5, 17, 30}) {
+      const OwnedPattern A(R, N, 0.15), B(R, N, 0.3);
+      for (int Step = 0; Step < 120; ++Step) {
+        const OwnedPattern &P = R.uniform() < 0.5 ? A : B;
+        const Matrix J = randomJacobian(R, P, 0.1);
+        const T Shift = randomShift<T>(R);
+        // Mostly small Scales (the pattern path), now and then a large one
+        // (row swaps) or a non-finite one (fallbacks).
+        const double U = R.uniform();
+        double Scale = std::pow(10.0, R.uniform(-6, -1));
+        if (U > 0.9)
+          Scale = std::numeric_limits<double>::infinity();
+        else if (U > 0.7)
+          Scale = 1e4;
+        const std::vector<std::vector<T>> Rhs = newtonRhs<T>(R, N);
+        const double Op = R.uniform();
+        if (Op < 0.7) {
+          Report(compareNewton(Got, Shift, Scale, J, &P.View, Rhs), "pattern");
+        } else if (Op < 0.85) {
+          Report(compareNewton(Got, Shift, Scale, J, nullptr, Rhs),
+                 "null pattern");
+        } else {
+          DenseMatrix<T> A2 = randomMatrix<T>(R, N, 0.5);
+          shiftDiagonal(A2, R.uniform() < 0.5 ? 1.0 : -1.0);
+          DenseLuOracle<T> Want;
+          Want.factor(A2);
+          Got.factor(A2);
+          std::string Diff;
+          if (!sameBits(Got.determinant(), Want.determinant()))
+            Diff = "determinant differs";
+          Report(Diff, "factor()");
+        }
+      }
+    }
+
+    // A pattern built where a destroyed one lived, with the same order
+    // and row lengths but other columns: its id differs, so neither the
+    // cached fill nor the storage may carry over. Shifts with a positive
+    // real part above Scale*J keep each factorization on the pattern path
+    // and clean, and unit right-hand sides make the solves read whole
+    // rows of storage.
+    for (int Rep = 0; Rep < 20; ++Rep) {
+      const size_t N = 8 + R.uniformInt(20);
+      auto FactorAndSolve = [&](const OwnedPattern &P, const char *What) {
+        std::vector<std::vector<T>> Units(N, std::vector<T>(N));
+        for (size_t I = 0; I < N; ++I)
+          Units[I][I] = T{1.0};
+        const double Real = R.uniform(1, 10);
+        T Shift = T{Real};
+        if constexpr (!std::is_same_v<T, double>)
+          Shift = {Real, R.uniform(0, Real / 2)};
+        const Matrix J = randomJacobian(R, P, 0.0);
+        Report(compareNewton(Got, Shift, 1e-9, J, &P.View, Units), What);
+      };
+      auto First = std::make_unique<OwnedPattern>(R, N, 0.2);
+      for (int I = 0; I < 3; ++I)
+        FactorAndSolve(*First, "first pattern");
+      const OwnedPattern Template(R, *First);
+      First.reset();
+      auto Second = std::make_unique<OwnedPattern>(R, Template);
+      for (int I = 0; I < 3; ++I)
+        FactorAndSolve(*Second, "pattern built after the first died");
+    }
+  };
+  LuDecomposition<double> RealGot;
+  LuDecomposition<Complex> ComplexGot;
+  Run(RealGot);
+  Run(ComplexGot);
+  EXPECT_EQ(Mismatches, 0u) << "of " << Steps << " steps";
+}
+
+TEST(LuTest, PatternFallbacksAreCounted) {
+  // One count per fallback from the pattern path; null-pattern and
+  // factor() calls take the general path without counting.
+  const std::string Name = "psg.linalg.lu_pattern_fallbacks";
+  auto Fallbacks = [&] { return metrics().snapshot().counterValue(Name); };
+  const uint32_t RowBegin[] = {0, 2, 4};
+  const uint32_t Cols[] = {0, 1, 0, 1};
+  const SparsityPattern P{2, RowBegin, Cols, nextPatternEpoch()};
+  Matrix Swap(2, 2), Diagonal(2, 2);
+  Swap(0, 1) = Swap(1, 0) = -10.0; // I - J pivots on row 1.
+  Diagonal(0, 0) = Diagonal(1, 1) = -1.0;
+  RealLu Lu;
+  const uint64_t Before = Fallbacks();
+  EXPECT_TRUE(Lu.factorShifted(1.0, 1.0, Diagonal, &P));
+  EXPECT_EQ(Fallbacks(), Before);
+  EXPECT_TRUE(Lu.factorShifted(1.0, 1.0, Swap, &P));
+  EXPECT_EQ(Fallbacks(), Before + 1);
+  EXPECT_TRUE(Lu.factorShifted(1.0, 1.0, Swap, nullptr));
+  EXPECT_TRUE(Lu.factor(Matrix::identity(2)));
+  EXPECT_EQ(Fallbacks(), Before + 1);
+  ComplexLu CLu;
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(CLu.factorShifted({1.0, 0.5}, NaN, Diagonal, &P));
+  EXPECT_EQ(Fallbacks(), Before + 2);
+
+  // Registered by the first call, so a run without fallbacks reads 0.
+  bool Registered = false;
+  for (const CounterSample &S : metrics().snapshot().Counters)
+    Registered = Registered || S.Name == Name;
+  EXPECT_TRUE(Registered);
+}
+
+TEST(SymbolicLuTest, FillMatchesDenseElimination) {
+  // The fill cached by the first factorShifted() with a pattern equals a
+  // boolean elimination over the dense N x N structure.
+  Rng R(99);
+  RealLu Lu;
+  for (size_t N = 0; N <= 40; ++N)
+    for (double Density : {0.02, 0.05, 0.1, 0.3, 0.6, 1.0}) {
+      const OwnedPattern P(R, N, Density);
+      std::vector<std::vector<bool>> Fill(N, std::vector<bool>(N));
+      for (size_t I = 0; I < N; ++I) {
+        Fill[I][I] = true;
+        for (uint32_t E = P.RowBegin[I]; E < P.RowBegin[I + 1]; ++E)
+          Fill[I][P.Cols[E]] = true;
+      }
+      for (size_t K = 0; K < N; ++K)
+        for (size_t I = K + 1; I < N; ++I)
+          if (Fill[I][K])
+            for (size_t C = K + 1; C < N; ++C)
+              Fill[I][C] = Fill[I][C] || Fill[K][C];
+
+      Lu.factorShifted(1.0, 1e-3, randomJacobian(R, P, 0.0), &P.View);
+      const SymbolicLu &S = Lu.symbolic();
+      ASSERT_EQ(S.Id, P.View.Id);
+      ASSERT_EQ(S.RowBegin.size(), N + 1);
+      std::vector<std::vector<uint32_t>> WantL(N);
+      for (size_t I = 0; I < N; ++I) {
+        std::vector<uint32_t> Want;
+        for (size_t C = 0; C < N; ++C)
+          if (Fill[I][C]) {
+            Want.push_back(static_cast<uint32_t>(C));
+            if (C < I)
+              WantL[C].push_back(static_cast<uint32_t>(I));
+          }
+        const std::vector<uint32_t> Got(S.Cols.begin() + S.RowBegin[I],
+                                        S.Cols.begin() + S.RowBegin[I + 1]);
+        ASSERT_EQ(Got, Want) << "row " << I << " of order " << N;
+        ASSERT_EQ(S.Cols[S.Diag[I]], I);
+      }
+      for (size_t K = 0; K < N; ++K) {
+        const std::vector<uint32_t> Got(S.LRows.begin() + S.LBegin[K],
+                                        S.LRows.begin() + S.LBegin[K + 1]);
+        ASSERT_EQ(Got, WantL[K]) << "column " << K << " of order " << N;
+      }
+    }
+
+  // Each compilation draws its own pattern id; views of one model share
+  // it and point at the model's CSR arrays.
+  const ReactionNetwork Net = makeMetabolicSurrogate().Net;
+  const auto First = compileModel(Net), Second = compileModel(Net);
+  EXPECT_NE(First->JacPatternId, 0u);
+  EXPECT_NE(First->JacPatternId, Second->JacPatternId);
+  const CompiledOdeSystem View1(First), View2(First);
+  const SparsityPattern *P1 = View1.jacobianPattern();
+  ASSERT_NE(P1, nullptr);
+  EXPECT_EQ(P1->Id, First->JacPatternId);
+  EXPECT_EQ(View2.jacobianPattern()->Id, First->JacPatternId);
+  EXPECT_EQ(P1->Order, First->NumSpecies);
+  EXPECT_EQ(P1->RowBegin, First->JacRowBegin.data());
+  EXPECT_EQ(P1->Cols, First->JacCol.data());
+  CompiledOdeSystem Rebound(First);
+  Rebound.rebind(Second);
+  EXPECT_EQ(Rebound.jacobianPattern()->Id, Second->JacPatternId);
+  const FunctionOdeSystem Plain(1, [](double, const double *, double *) {});
+  EXPECT_EQ(Plain.jacobianPattern(), nullptr);
 }

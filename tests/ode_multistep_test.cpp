@@ -6,13 +6,19 @@
 
 #include "ode/Lsoda.h"
 #include "ode/Multistep.h"
+#include "ode/Radau5.h"
 #include "ode/TestProblems.h"
 #include "ode/Vode.h"
+#include "rbm/CuratedModels.h"
+#include "rbm/MassAction.h"
 #include "support/Metrics.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 using namespace psg;
 
@@ -239,4 +245,144 @@ TEST(JacobianReuseTest, AdaptiveReuseStaysAccurateOnRobertson) {
   ASSERT_FALSE(P.Reference.empty());
   for (size_t I = 0; I < P.Reference.size(); ++I)
     EXPECT_NEAR(Y[I], P.Reference[I], 1e-4 + 5e-3 * std::abs(P.Reference[I]));
+}
+
+//===----------------------------------------------------------------------===//
+// History resampling.
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// The per-component resample that multistepdetail::resampleRows
+/// replaced, kept as its bit-exact oracle.
+void resampleOneComponentAtATime(std::vector<std::vector<double>> &Rows,
+                                 size_t K, size_t N, double Spacing,
+                                 double NewSpacing) {
+  std::vector<double> X(K), XNew(K), Diff(K);
+  for (size_t JJ = 0; JJ < K; ++JJ) {
+    X[JJ] = -static_cast<double>(JJ) * Spacing;
+    XNew[JJ] = -static_cast<double>(JJ) * NewSpacing;
+  }
+  for (size_t I = 0; I < N; ++I) {
+    for (size_t JJ = 0; JJ < K; ++JJ)
+      Diff[JJ] = Rows[JJ][I];
+    for (size_t Level = 1; Level < K; ++Level)
+      for (size_t JJ = K - 1; JJ >= Level; --JJ)
+        Diff[JJ] = (Diff[JJ] - Diff[JJ - 1]) / (X[JJ] - X[JJ - Level]);
+    for (size_t Target = 1; Target < K; ++Target) {
+      double Value = Diff[K - 1];
+      for (size_t Level = K - 1; Level-- > 0;)
+        Value = Value * (XNew[Target] - X[Level]) + Diff[Level];
+      Rows[Target][I] = Value;
+    }
+  }
+}
+
+bool sameBits(double A, double B) {
+  return std::bit_cast<uint64_t>(A) == std::bit_cast<uint64_t>(B);
+}
+} // namespace
+
+TEST(MultistepResampleTest, AllComponentsMatchPerComponentBits) {
+  // Resampling every component at once must return the per-component
+  // loop's bits for every history length, dimension and spacing ratio,
+  // special values included.
+  using Limits = std::numeric_limits<double>;
+  const double Specials[] = {
+      -0.0,
+      0.0,
+      Limits::quiet_NaN(),
+      Limits::infinity(),
+      -Limits::infinity(),
+      Limits::denorm_min(),
+      Limits::min(),
+      Limits::max(),
+      -Limits::max(),
+  };
+  using Rows = std::vector<std::vector<double>>;
+  Rng R(7);
+  size_t Cases = 0, Mismatches = 0;
+  const size_t MaxRows = MultistepDriver::MaxOrder + 2;
+  for (size_t K = 2; K <= MaxRows; ++K)
+    for (size_t N = 1; N <= 40; ++N)
+      for (int Rep = 0; Rep < 6; ++Rep) {
+        const double Sign = R.uniform() < 0.5 ? -1.0 : 1.0;
+        const double Spacing = Sign * std::pow(10.0, R.uniform(-8, 1));
+        const double Ratio = std::pow(10.0, R.uniform(-1, 1));
+        const double NewSpacing = Spacing * Ratio;
+        // Smooth histories, scattered values over ten decades, and now and
+        // then a special value.
+        Rows Want(MaxRows, std::vector<double>(N));
+        for (size_t JJ = 0; JJ < K; ++JJ)
+          for (size_t I = 0; I < N; ++I) {
+            const double U = R.uniform();
+            double V = 1.0 + 1e-3 * R.uniform(-1, 1) * JJ;
+            if (U < 0.5)
+              V = R.uniform(-1, 1) * std::pow(10.0, R.uniform(-5, 5));
+            if (U < 0.05)
+              V = Specials[R.uniformInt(std::size(Specials))];
+            Want[JJ][I] = V;
+          }
+        Rows Got = Want;
+        Rows Diff(MaxRows, std::vector<double>(N));
+        resampleOneComponentAtATime(Want, K, N, Spacing, NewSpacing);
+        multistepdetail::resampleRows(Got.data(), K, N, Spacing, NewSpacing,
+                                      Diff.data());
+        ++Cases;
+        bool Same = true;
+        for (size_t JJ = 0; JJ < K; ++JJ)
+          for (size_t I = 0; I < N; ++I)
+            Same = Same && sameBits(Got[JJ][I], Want[JJ][I]);
+        if (!Same && ++Mismatches <= 5)
+          ADD_FAILURE() << "K " << K << ", N " << N << ", ratio " << Ratio;
+      }
+  EXPECT_EQ(Mismatches, 0u) << "of " << Cases << " cases";
+}
+
+//===----------------------------------------------------------------------===//
+// BDF start on stiff problems.
+//===----------------------------------------------------------------------===//
+
+TEST(BdfStartTest, BdfAndVodeFinishStiffDecayChains) {
+  // A run that begins on BDF has a single history row. Predicting the
+  // constant state made the first error estimate O(h), and on these decay
+  // chains h shrank below 1e-14 at t = 0. With the degree-1 start both
+  // finish and agree with RADAU5.
+  const size_t Lengths[] = {4, 10, 12, 12};
+  const double Spreads[] = {4.0, 4.0, 4.0, 6.0};
+  for (size_t Chain = 0; Chain < std::size(Lengths); ++Chain) {
+    const size_t Length = Lengths[Chain];
+    const double Spread = Spreads[Chain];
+    const ReactionNetwork Net = makeDecayChainNetwork(Length, Spread);
+    const CompiledOdeSystem Sys(Net);
+    const std::vector<double> Y0 = Net.initialState();
+    SolverOptions Tight;
+    Tight.RelTol = 1e-10;
+    Tight.AbsTol = 1e-12;
+    Tight.MaxSteps = 1000000;
+    std::vector<double> Reference = Y0;
+    Radau5Solver Radau;
+    ASSERT_TRUE(Radau.integrate(Sys, 0.0, 5.0, Reference, Tight).ok());
+
+    BdfSolver Bdf;
+    VodeSolver Vode;
+    OdeSolver *Solvers[] = {&Bdf, &Vode};
+    for (OdeSolver *Solver : Solvers) {
+      for (const SolverOptions &Opts : {SolverOptions(), Tight}) {
+        std::vector<double> Y = Y0;
+        const IntegrationResult Result =
+            Solver->integrate(Sys, 0.0, 5.0, Y, Opts);
+        ASSERT_TRUE(Result.ok())
+            << Solver->name() << " on a decay chain of length " << Length
+            << " and spread " << Spread << " stopped at t = "
+            << Result.FinalTime;
+        EXPECT_GT(Result.Stats.LuFactorizations, 0u) << Solver->name();
+        const double Tol = Opts.RelTol == Tight.RelTol ? 1e-8 : 1e-5;
+        for (size_t I = 0; I < Y.size(); ++I) {
+          const double Bound = Tol * std::max(1.0, std::abs(Reference[I]));
+          EXPECT_NEAR(Y[I], Reference[I], Bound)
+              << Solver->name() << ", species " << I;
+        }
+      }
+    }
+  }
 }
