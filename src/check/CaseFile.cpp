@@ -10,7 +10,6 @@
 #include "support/StringUtils.h"
 
 #include <cinttypes>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -72,9 +71,7 @@ ErrorOr<CheckCase> psg::parseCaseText(const std::string &Text) {
       if (Fields.size() != 4 || !parseDouble(Fields[2], Case.StartTime) ||
           !parseDouble(Fields[3], Case.EndTime))
         return fail("expected 'check window <t0> <tend>'");
-      // NaN fails every comparison, so finiteness is tested first.
-      if (!std::isfinite(Case.StartTime) || !std::isfinite(Case.EndTime) ||
-          !(Case.StartTime < Case.EndTime))
+      if (!isValidWindow(Case.StartTime, Case.EndTime))
         return fail("window needs finite t0 < tend, got " + Fields[2] +
                     " " + Fields[3]);
     } else if (Key == "samples") {
@@ -87,15 +84,13 @@ ErrorOr<CheckCase> psg::parseCaseText(const std::string &Text) {
           !parseDouble(Fields[2], Case.Options.AbsTol) ||
           !parseDouble(Fields[3], Case.Options.RelTol))
         return fail("expected 'check tolerances <abs> <rel>'");
-      const double Abs = Case.Options.AbsTol, Rel = Case.Options.RelTol;
-      if (!std::isfinite(Abs) || !std::isfinite(Rel) || !(Abs > 0) ||
-          !(Rel > 0))
+      if (!hasValidTolerances(Case.Options))
         return fail("tolerances must be finite and above 0, got " +
                     Fields[2] + " " + Fields[3]);
     } else if (Key == "maxsteps") {
       if (Fields.size() != 3 ||
           !parseUnsigned(Fields[2], Case.Options.MaxSteps) ||
-          Case.Options.MaxSteps == 0)
+          !hasValidStepBudget(Case.Options))
         return fail("expected 'check maxsteps <n>' with n >= 1");
     } else if (Key == "simulator") {
       if (Fields.size() != 3)

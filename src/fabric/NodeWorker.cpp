@@ -71,6 +71,46 @@ struct ExecutorKey {
   }
 };
 
+/// What makes \p G unrunnable against \p Net, naming the field, or an
+/// empty string when it can run. A grant comes from outside the process,
+/// so the worker checks it against every rule a run relies on before it
+/// adopts it.
+std::string grantError(const ShardGrantMsg &G, const ReactionNetwork &Net) {
+  const WireLimits Limits;
+  if (G.InitialStates.size() != G.RateConstantSets.size())
+    return formatString("InitialStates holds %zu states for %zu rate sets",
+                        G.InitialStates.size(), G.RateConstantSets.size());
+  for (size_t I = 0; I < G.RateConstantSets.size(); ++I) {
+    if (G.RateConstantSets[I].size() != Net.numReactions())
+      return formatString("RateConstantSets[%zu] has %zu entries for %zu "
+                          "reactions",
+                          I, G.RateConstantSets[I].size(), Net.numReactions());
+    if (G.InitialStates[I].size() != Net.numSpecies())
+      return formatString("InitialStates[%zu] has %zu entries for %zu species",
+                          I, G.InitialStates[I].size(), Net.numSpecies());
+  }
+  // The coordinator decodes no trajectory longer than MaxVectorDoubles
+  // samples, so a longer one is never worth allocating.
+  if (G.OutputSamples == 1 || G.OutputSamples > Limits.MaxVectorDoubles)
+    return formatString("OutputSamples %llu is neither 0 nor in [2, %zu]",
+                        static_cast<unsigned long long>(G.OutputSamples),
+                        Limits.MaxVectorDoubles);
+  if (G.ChunkSize > Limits.MaxBatchSimulations)
+    return formatString("ChunkSize %llu exceeds %zu",
+                        static_cast<unsigned long long>(G.ChunkSize),
+                        Limits.MaxBatchSimulations);
+  if (!isValidWindow(G.StartTime, G.EndTime))
+    return formatString("StartTime/EndTime %g %g is not a finite window "
+                        "with t0 < tend",
+                        G.StartTime, G.EndTime);
+  if (!hasValidTolerances(G.Solver))
+    return formatString("Solver tolerances %g %g are not finite and above 0",
+                        G.Solver.AbsTol, G.Solver.RelTol);
+  if (!hasValidStepBudget(G.Solver))
+    return "Solver.MaxSteps is 0";
+  return {};
+}
+
 } // namespace
 
 NodeWorker::NodeWorker(const CostModel &Model, FabricEndpoint &Endpoint,
@@ -143,12 +183,19 @@ WorkerReport NodeWorker::serve(const ReactionNetwork &Net) {
       continue;
     }
     ShardGrantMsg &G = *GrantOr;
-    if (G.ModelFingerprint != 0 && G.ModelFingerprint != Fingerprint) {
+    std::string Irreconcilable;
+    if (G.ModelFingerprint != 0 && G.ModelFingerprint != Fingerprint)
+      Irreconcilable = "model fingerprint mismatch";
+    else if (std::string Error = grantError(G, Net); !Error.empty())
+      Irreconcilable = "malformed grant: " + Error;
+    if (!Irreconcilable.empty()) {
+      // Leaving hands the grant back: the coordinator re-queues the
+      // shards of a node that says goodbye.
       NodeGoodbyeMsg Bye;
       Bye.Node = Self;
-      Bye.Reason = "model fingerprint mismatch";
+      Bye.Reason = Irreconcilable;
       Endpoint.send(CoordinatorNode, encodeNodeGoodbye(Bye));
-      Rep.ExitReason = "model fingerprint mismatch";
+      Rep.ExitReason = std::move(Irreconcilable);
       return Rep;
     }
 

@@ -50,7 +50,10 @@ public:
 
   /// Blocks serving grants against \p Net. Returns when the coordinator
   /// sends NodeGoodbye, the transport closes, or a grant is
-  /// irreconcilable (model fingerprint mismatch).
+  /// irreconcilable: a model fingerprint mismatch, or a malformed grant
+  /// (parameter sets sized wrong for \p Net, a bad window, tolerance,
+  /// step budget, sample count or chunk size). The worker says goodbye
+  /// before it leaves, and ExitReason names the bad field.
   WorkerReport serve(const ReactionNetwork &Net);
 
 private:

@@ -14,6 +14,7 @@
 #ifndef PSG_ODE_SOLVEROPTIONS_H
 #define PSG_ODE_SOLVEROPTIONS_H
 
+#include <cmath>
 #include <cstdint>
 
 namespace psg {
@@ -31,6 +32,27 @@ struct SolverOptions {
   unsigned MaxNewtonIters = 7; ///< Implicit solver iteration cap.
   bool EnableStiffnessDetection = true; ///< DOPRI5 stiffness test on/off.
 };
+
+// The rules a run that comes from outside the process (a `.psg` case
+// file, a fabric shard grant) must meet before a solver sees it.
+
+/// A finite window with StartTime < EndTime. NaN fails every comparison,
+/// so finiteness is tested first.
+inline bool isValidWindow(double StartTime, double EndTime) {
+  return std::isfinite(StartTime) && std::isfinite(EndTime) &&
+         StartTime < EndTime;
+}
+
+/// Finite tolerances above 0.
+inline bool hasValidTolerances(const SolverOptions &O) {
+  return std::isfinite(O.AbsTol) && std::isfinite(O.RelTol) &&
+         O.AbsTol > 0 && O.RelTol > 0;
+}
+
+/// A step budget of at least one step.
+inline bool hasValidStepBudget(const SolverOptions &O) {
+  return O.MaxSteps >= 1;
+}
 
 } // namespace psg
 

@@ -6,13 +6,19 @@
 
 #include "core/BatchEngine.h"
 #include "core/ParameterSpace.h"
+#include "fabric/LoopbackFabric.h"
+#include "fabric/NodeWorker.h"
 
 #include "rbm/CuratedModels.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
 
 using namespace psg;
 
@@ -211,24 +217,55 @@ TEST(BatchEngineTest, OutcomeOrderMatchesPointOrder) {
 
 TEST(BatchEngineTest, EmptyRunsReturnEmptyReports) {
   // No points and no parameterizations are a valid, empty run on the
-  // single-device path and on the sharded one.
+  // single-device path, the sharded one and the fabric one.
   ReactionNetwork Net = makeDecayChainNetwork(4, 1.0);
   ParameterSpace Space(Net);
   Space.addAxis(initialAxis(Net, "S0", 0.5, 2.0));
+  auto expectEmpty = [](const EngineReport &Report, const std::string &Row) {
+    EXPECT_TRUE(Report.Outcomes.empty()) << Row;
+    EXPECT_EQ(Report.SubBatches, 0u) << Row;
+    EXPECT_EQ(Report.Failures, 0u) << Row;
+  };
   for (unsigned Devices : {0u, 2u}) {
     EngineOptions Opts;
     Opts.SimulatorName = "psg-engine";
     Opts.EndTime = 1.0;
     Opts.Sched.Devices.assign(Devices, "psg-engine");
     BatchEngine Engine(CostModel::paperSetup(), Opts);
-    const EngineReport FromPoints = Engine.run(Space, {});
-    EXPECT_TRUE(FromPoints.Outcomes.empty()) << Devices << " devices";
-    EXPECT_EQ(FromPoints.SubBatches, 0u) << Devices << " devices";
-    EXPECT_EQ(FromPoints.Failures, 0u) << Devices << " devices";
-    const EngineReport FromParams = Engine.runParameterizations(Net, {});
-    EXPECT_TRUE(FromParams.Outcomes.empty()) << Devices << " devices";
-    EXPECT_EQ(FromParams.SubBatches, 0u) << Devices << " devices";
-    EXPECT_EQ(FromParams.Failures, 0u) << Devices << " devices";
+    const std::string Row = std::to_string(Devices) + " devices";
+    expectEmpty(Engine.run(Space, {}), Row + ", points");
+    expectEmpty(Engine.runParameterizations(Net, {}), Row + ", params");
+  }
+
+  // The fabric path, each entry point on its own loopback fabric with one
+  // worker that has sent its Hello. The coordinator draws on the source
+  // only once a node has joined; with none, an empty run waits out the
+  // hello timeout instead.
+  for (bool FromPoints : {true, false}) {
+    LoopbackFabric Fabric;
+    std::unique_ptr<FabricEndpoint> CoordEp =
+        Fabric.createEndpoint(CoordinatorNode);
+    std::unique_ptr<FabricEndpoint> WorkerEp = Fabric.createEndpoint(1);
+    std::thread Worker([&] {
+      SchedOptions Local;
+      Local.Devices = {"psg-engine"};
+      NodeWorker W(CostModel::paperSetup(), *WorkerEp, Local, 0.01);
+      W.serve(Net);
+    });
+    while (Fabric.framesSent() == 0) // The worker's Hello.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EngineOptions Opts;
+    Opts.EndTime = 1.0;
+    Opts.Fabric.Endpoint = CoordEp.get();
+    Opts.Fabric.Workers = {1};
+    Opts.Fabric.HeartbeatIntervalSeconds = 0.005;
+    BatchEngine Engine(CostModel::paperSetup(), Opts);
+    const EngineReport Report = FromPoints
+                                    ? Engine.run(Space, {})
+                                    : Engine.runParameterizations(Net, {});
+    Fabric.shutdown();
+    Worker.join();
+    expectEmpty(Report, FromPoints ? "fabric, points" : "fabric, params");
   }
 }
 

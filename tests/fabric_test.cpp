@@ -39,9 +39,11 @@
 #include <gtest/gtest.h>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 using namespace psg;
@@ -763,6 +765,135 @@ TEST(FabricTest, MismatchedOutcomeCountBatchesAreDropped) {
   EXPECT_EQ(R.DuplicateBatches, 0u); // Dropped before the ledger, not after.
   for (size_t I = 0; I < Points; ++I)
     EXPECT_EQ(Sink.Deliveries[I], 1u) << "sim " << I;
+}
+
+TEST(FabricTest, WorkerLeavesOnMalformedGrant) {
+  // A grant comes off the network, so the worker checks it before it
+  // adopts it. The first six malformed grants below once crashed the
+  // worker (an assert, a write past a vector, a SIGSEGV or a
+  // length_error); the rest break the wire limit and the rules shared
+  // with `.psg` metadata. Now the worker says goodbye without acking,
+  // and its exit reason names the bad field. The coordinator re-queues a
+  // departed node's shards.
+  ReactionNetwork Net = makeBrusselatorNetwork();
+  ParameterSpace Space(Net);
+  Space.addAxis(rateAxis(0, 0.5, 3.0));
+  ShardGrantMsg Good;
+  Good.ChunkSize = 2;
+  Good.EndTime = 2.0;
+  Good.OutputSamples = 3;
+  Good.ModelFingerprint = networkFingerprint(Net);
+  for (const Parameterization &P : makeSweep(Space, 2)) {
+    Good.RateConstantSets.push_back(P.RateConstants);
+    Good.InitialStates.push_back(P.InitialState);
+  }
+
+  struct Row {
+    const char *Name;
+    void (*Break)(ShardGrantMsg &);
+    const char *Field; ///< Named in the exit reason; nullptr: it runs.
+  };
+  const Row Rows[] = {
+      {"well-formed", [](ShardGrantMsg &) {}, nullptr},
+      {"rate set one entry too long",
+       [](ShardGrantMsg &G) { G.RateConstantSets[0].push_back(1.0); },
+       "RateConstantSets[0]"},
+      {"initial state one species short",
+       [](ShardGrantMsg &G) { G.InitialStates[1].pop_back(); },
+       "InitialStates[1]"},
+      {"one initial state fewer than rate sets",
+       [](ShardGrantMsg &G) { G.InitialStates.pop_back(); },
+       "InitialStates holds 1 states for 2 rate sets"},
+      {"one output sample", [](ShardGrantMsg &G) { G.OutputSamples = 1; },
+       "OutputSamples"},
+      {"end before start",
+       [](ShardGrantMsg &G) {
+         G.StartTime = 1.0;
+         G.EndTime = 0.0;
+       },
+       "StartTime/EndTime"},
+      {"chunk of 2^62",
+       [](ShardGrantMsg &G) { G.ChunkSize = uint64_t(1) << 62; },
+       "ChunkSize"},
+      {"more output samples than the wire carries",
+       [](ShardGrantMsg &G) {
+         G.OutputSamples = WireLimits().MaxVectorDoubles + 1;
+       },
+       "OutputSamples"},
+      {"NaN tolerance",
+       [](ShardGrantMsg &G) { G.Solver.AbsTol = std::nan(""); },
+       "Solver tolerances"},
+      {"no step budget", [](ShardGrantMsg &G) { G.Solver.MaxSteps = 0; },
+       "Solver.MaxSteps"},
+  };
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    LoopbackFabric Fabric;
+    std::unique_ptr<FabricEndpoint> CoordEp =
+        Fabric.createEndpoint(CoordinatorNode);
+    std::unique_ptr<FabricEndpoint> WorkerEp = Fabric.createEndpoint(1);
+    WorkerReport Rep;
+    std::thread Worker([&] {
+      SchedOptions Local;
+      Local.Devices = {"gpu-coarse"};
+      Local.WorkersPerDevice = 1;
+      NodeWorker W(CostModel::paperSetup(), *WorkerEp, Local, 0.01);
+      Rep = W.serve(Net);
+    });
+
+    ShardGrantMsg G = Good;
+    R.Break(G);
+    CoordEp->send(1, encodeShardGrant(G));
+    bool Acked = false, Left = false;
+    std::optional<OutcomeBatchMsg> Batch;
+    const auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!Left && !Batch && std::chrono::steady_clock::now() < Deadline) {
+      ReceivedFrame RF;
+      if (CoordEp->poll(RF, 0.05) != PollStatus::Message)
+        continue;
+      ErrorOr<FrameView> View = parseFrame(RF.Bytes);
+      if (!View.ok())
+        continue;
+      switch (View->Type) {
+      case MessageType::ShardAck:
+        Acked = true;
+        break;
+      case MessageType::NodeGoodbye:
+        Left = true;
+        break;
+      case MessageType::OutcomeBatch:
+        if (ErrorOr<OutcomeBatchMsg> B = decodeOutcomeBatch(*View); B.ok())
+          Batch = std::move(*B);
+        break;
+      default: // The worker's Hello and heartbeats.
+        break;
+      }
+    }
+    if (!Left)
+      CoordEp->send(1, encodeNodeGoodbye(NodeGoodbyeMsg{CoordinatorNode, ""}));
+    Fabric.shutdown();
+    Worker.join();
+
+    if (R.Field) {
+      EXPECT_TRUE(Left);
+      EXPECT_FALSE(Acked);
+      EXPECT_FALSE(Batch.has_value());
+      EXPECT_EQ(Rep.Grants, 0u);
+      EXPECT_NE(Rep.ExitReason.find(std::string("malformed grant: ") +
+                                    R.Field),
+                std::string::npos)
+          << Rep.ExitReason;
+    } else {
+      EXPECT_FALSE(Left);
+      EXPECT_TRUE(Acked);
+      ASSERT_TRUE(Batch.has_value());
+      EXPECT_EQ(Batch->Outcomes.size(), 2u);
+      EXPECT_EQ(Batch->Failures, 0u);
+      EXPECT_EQ(Rep.Grants, 1u);
+      EXPECT_EQ(Rep.ExitReason, "coordinator goodbye");
+    }
+  }
 }
 
 TEST(FabricTest, FaultScriptsAreContentKeyedAndCounted) {
