@@ -6,7 +6,6 @@
 
 #include "core/BatchEngine.h"
 
-#include "fabric/NodeCoordinator.h"
 #include "sched/ShardedExecutor.h"
 #include "support/Error.h"
 #include "support/Logging.h"
@@ -29,8 +28,8 @@ void accumulateModeled(ModeledTime &Into, const ModeledTime &From) {
 
 /// The sink behind run()/runParameterizations: re-materializes every
 /// streamed outcome into a caller-owned vector at its global index.
-/// Single-device, sharded and fabric streams all deliver ascending
-/// contiguous sub-batches.
+/// Single-device and sharded streams both deliver ascending contiguous
+/// sub-batches.
 class MaterializingSink final : public OutcomeSink {
 public:
   explicit MaterializingSink(std::vector<SimulationOutcome> &Into)
@@ -100,14 +99,6 @@ StreamReport
 BatchEngine::streamParameterizations(const ReactionNetwork &Net,
                                      const ParameterizationSource &Source,
                                      OutcomeSink &Sink) {
-  if (Opts.Fabric.enabled()) {
-    // Cross-node path: the coordinator feeds shard grants to remote
-    // workers over the configured fabric endpoint; each worker runs its
-    // own local sharded executor.
-    if (!Coordinator)
-      Coordinator = std::make_unique<NodeCoordinator>(Opts, Opts.Fabric);
-    return Coordinator->streamParameterizations(Net, Source, Sink).Stream;
-  }
   if (Opts.Sched.enabled()) {
     // Multi-device sharded path: the executor owns the device fleet and
     // is kept warm across runs like Sim is.

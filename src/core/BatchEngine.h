@@ -27,7 +27,6 @@
 
 #include "core/ParameterSpace.h"
 #include "core/PointGenerator.h"
-#include "fabric/FabricOptions.h"
 #include "sched/SchedOptions.h"
 #include "sim/Simulator.h"
 #include "support/Metrics.h"
@@ -38,7 +37,6 @@
 namespace psg {
 
 class ShardedExecutor;
-class NodeCoordinator;
 
 /// Engine configuration.
 struct EngineOptions {
@@ -67,14 +65,6 @@ struct EngineOptions {
   /// bit-exact versus a single-device run whose SubBatchSize equals the
   /// shard chunk.
   SchedOptions Sched;
-  /// Cross-node distribution: when Fabric.enabled(), streaming runs are
-  /// partitioned across remote worker nodes by a fabric::NodeCoordinator
-  /// over Fabric.Endpoint (shard grants, heartbeat-timeout re-queue,
-  /// epoch-deduplicated return path) instead of running locally; it
-  /// takes precedence over Sched (workers run their own local sharded
-  /// executors). Results stay bit-exact versus a single-process run
-  /// whose SubBatchSize equals the shard chunk.
-  FabricOptions Fabric;
 };
 
 /// Per-sub-batch consumer of a streaming engine run.
@@ -167,9 +157,8 @@ public:
   /// Streams \p Gen through the simulator: chunks of points are pulled
   /// and parameterized on demand, at most InFlight sub-batches are
   /// staged, and every integrated sub-batch is handed to \p Sink before
-  /// its trajectory storage is released. On the single-device and sharded
-  /// paths an empty source yields an empty report: no sub-batches, no
-  /// outcomes.
+  /// its trajectory storage is released. An empty source yields an empty
+  /// report: no sub-batches, no outcomes.
   StreamReport stream(const ParameterSpace &Space, PointGenerator &Gen,
                       OutcomeSink &Sink);
 
@@ -197,9 +186,6 @@ private:
   /// stream (Opts.Sched.enabled()) and kept warm across runs so device
   /// worker pools and solver workspaces persist like Sim's do.
   std::unique_ptr<ShardedExecutor> Sharded;
-  /// The cross-node coordinator, created lazily on the first fabric
-  /// stream (Opts.Fabric.enabled()).
-  std::unique_ptr<NodeCoordinator> Coordinator;
 
   /// Compilation cache: the last network's compiled model, keyed by its
   /// structural fingerprint. Every sub-batch of a run — and every later

@@ -33,8 +33,8 @@ struct SolverOptions {
   bool EnableStiffnessDetection = true; ///< DOPRI5 stiffness test on/off.
 };
 
-// The rules a run that comes from outside the process (a `.psg` case
-// file, a fabric shard grant) must meet before a solver sees it.
+// The rules a run must meet before a solver sees it: a `.psg` case file
+// is checked at load, and every simulator checks its window.
 
 /// A finite window with StartTime < EndTime. NaN fails every comparison,
 /// so finiteness is tested first.

@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The exactly-once, ordered delivery stage shared by the single-process
-/// ShardedExecutor and the cross-node NodeCoordinator return path.
+/// The exactly-once, ordered delivery stage of the ShardedExecutor.
 /// Shards arrive as (First, Outcomes) batches cut from a contiguous
 /// index stream; the ledger deduplicates repeated deliveries of the same
-/// shard (late results from nodes declared dead) and buffers
-/// out-of-order completions until the index gap closes, so the sink
-/// always observes ascending contiguous sub-batches.
+/// shard and buffers out-of-order completions until the index gap
+/// closes, so the sink always observes ascending contiguous sub-batches.
 ///
 /// The contiguity invariant — every flush starts exactly at the next
 /// undelivered index, and accepted shards never overlap — is asserted
-/// here, once, for every execution mode that funnels through it
-/// (tests/sched_test.cpp and tests/fabric_test.cpp drive it from both
-/// sides).
+/// here, once (tests/sched_test.cpp drives it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +32,7 @@ namespace psg {
 
 /// Serializes shard completions into exactly-once sink deliveries.
 /// Not thread-safe: callers hold their own lock (the executor's state
-/// mutex; the coordinator is single-threaded).
+/// mutex).
 class DeliveryLedger {
 public:
   struct Acceptance {
@@ -46,10 +42,10 @@ public:
 
   /// Accepts one completed shard starting at global index \p First.
   /// First-accept wins: a duplicate (same First) is dropped whole, no
-  /// matter which attempt or node produced it. The batch may be
-  /// buffered; the return value counts only what was flushed to the
-  /// sink *now* (possibly including earlier buffered batches whose gap
-  /// this one closed).
+  /// matter which attempt produced it. The batch may be buffered; the
+  /// return value counts only what was flushed to the sink *now*
+  /// (possibly including earlier buffered batches whose gap this one
+  /// closed).
   Acceptance accept(size_t First, std::vector<SimulationOutcome> &&Outcomes,
                     OutcomeSink &Sink);
 

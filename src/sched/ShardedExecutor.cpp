@@ -252,9 +252,8 @@ ShardScheduleReport ShardedExecutor::streamParameterizations(
   };
 
   // Hands one completed sub-batch to the delivery ledger; Mx must be
-  // held. The ledger owns the exactly-once/ordered-flush invariants
-  // (shared with the cross-node coordinator return path); in-process,
-  // a shard runs on exactly one device per attempt, so a duplicate
+  // held. The ledger owns the exactly-once/ordered-flush invariants; a
+  // shard runs on exactly one device per attempt, so a duplicate
   // acceptance is a scheduler bug.
   auto deliverLocked = [&](size_t First,
                            std::vector<SimulationOutcome> &&Outcomes) {

@@ -8,6 +8,8 @@
 
 #include "support/StringUtils.h"
 
+#include <bit>
+
 using namespace psg;
 
 namespace {
@@ -18,28 +20,51 @@ Status counterDiff(const char *Name, uint64_t A, uint64_t B) {
                                       (unsigned long long)B));
 }
 
+/// The ten IntegrationStats counts, named for difference messages.
+const struct {
+  const char *Name;
+  uint64_t IntegrationStats::*Member;
+} StatCounters[] = {
+    {"steps", &IntegrationStats::Steps},
+    {"accepted steps", &IntegrationStats::AcceptedSteps},
+    {"rejected steps", &IntegrationStats::RejectedSteps},
+    {"rhs evaluations", &IntegrationStats::RhsEvaluations},
+    {"jacobian evaluations", &IntegrationStats::JacobianEvaluations},
+    {"LU factorizations", &IntegrationStats::LuFactorizations},
+    {"complex LU factorizations", &IntegrationStats::ComplexLuFactorizations},
+    {"LU solves", &IntegrationStats::LuSolves},
+    {"Newton iterations", &IntegrationStats::NewtonIterations},
+    {"solver switches", &IntegrationStats::SolverSwitches},
+};
+
 Status compareStats(const IntegrationStats &A, const IntegrationStats &B) {
-  const struct {
-    const char *Name;
-    uint64_t IntegrationStats::*Member;
-  } Counters[] = {
-      {"steps", &IntegrationStats::Steps},
-      {"accepted steps", &IntegrationStats::AcceptedSteps},
-      {"rejected steps", &IntegrationStats::RejectedSteps},
-      {"rhs evaluations", &IntegrationStats::RhsEvaluations},
-      {"jacobian evaluations", &IntegrationStats::JacobianEvaluations},
-      {"LU factorizations", &IntegrationStats::LuFactorizations},
-      {"complex LU factorizations",
-       &IntegrationStats::ComplexLuFactorizations},
-      {"LU solves", &IntegrationStats::LuSolves},
-      {"Newton iterations", &IntegrationStats::NewtonIterations},
-      {"solver switches", &IntegrationStats::SolverSwitches},
-  };
-  for (const auto &C : Counters)
+  for (const auto &C : StatCounters)
     if (A.*(C.Member) != B.*(C.Member))
       return counterDiff(C.Name, A.*(C.Member), B.*(C.Member));
   return Status::success();
 }
+
+/// FNV-1a 64 state; words are fed as little-endian bytes.
+class Fnv1a {
+public:
+  explicit Fnv1a(uint64_t Seed) : Hash(Seed) {}
+
+  void byte(uint8_t B) { Hash = (Hash ^ B) * 0x100000001b3ull; }
+  void word(uint64_t W) {
+    for (int Shift = 0; Shift < 64; Shift += 8)
+      byte(static_cast<uint8_t>(W >> Shift));
+  }
+  void real(double D) { word(std::bit_cast<uint64_t>(D)); }
+  void text(const std::string &S) {
+    word(S.size());
+    for (char C : S)
+      byte(static_cast<uint8_t>(C));
+  }
+  uint64_t value() const { return Hash; }
+
+private:
+  uint64_t Hash;
+};
 
 } // namespace
 
@@ -97,4 +122,26 @@ Status psg::compareBatchesBitExact(const BatchResult &A,
       return Status::failure(formatString("simulation %zu: ", I) +
                              S.message());
   return Status::success();
+}
+
+uint64_t psg::outcomeDigest(const std::vector<SimulationOutcome> &Outcomes,
+                            uint64_t Digest) {
+  Fnv1a H(Digest);
+  for (const SimulationOutcome &O : Outcomes) {
+    H.text(O.SolverUsed);
+    H.word(static_cast<uint64_t>(O.Result.Status));
+    H.real(O.Result.FinalTime);
+    H.real(O.Result.LastStepSize);
+    for (const auto &C : StatCounters)
+      H.word(O.Result.Stats.*(C.Member));
+    const Trajectory &T = O.Dynamics;
+    H.word(T.numSamples());
+    H.word(T.dimension());
+    for (size_t Sample = 0; Sample < T.numSamples(); ++Sample) {
+      H.real(T.time(Sample));
+      for (size_t V = 0; V < T.dimension(); ++V)
+        H.real(T.value(Sample, V));
+    }
+  }
+  return H.value();
 }

@@ -99,6 +99,9 @@ public:
   virtual Backend backend() const = 0;
 
   /// Runs the batch (really, on the host) and models its device timing.
+  /// A batch whose window is invalid (not finite, StartTime >= EndTime,
+  /// or OutputSamples == 1) is not integrated: every simulation fails
+  /// with status Aborted and a Detail that names the rule.
   virtual BatchResult run(const BatchSpec &Spec) = 0;
 };
 

@@ -83,6 +83,32 @@ std::vector<SimulationOutcome> makeOutcomeStorage(const BatchSpec &Spec) {
   return Outcomes;
 }
 
+/// The rule \p Spec's window breaks, or null when it is valid: a finite
+/// window with StartTime < EndTime (ode/SolverOptions.h), and 0 output
+/// samples or at least 2, since the sample grid holds both endpoints.
+const char *invalidWindowRule(const BatchSpec &Spec) {
+  if (!isValidWindow(Spec.StartTime, Spec.EndTime))
+    return "the window must be finite with StartTime < EndTime";
+  if (Spec.OutputSamples == 1)
+    return "OutputSamples must be 0 or at least 2";
+  return nullptr;
+}
+
+/// The result of a batch refused for breaking \p Rule: every simulation
+/// failed with status Aborted and the rule as its detail, and nothing was
+/// probed or integrated.
+BatchResult rejectBatch(const BatchSpec &Spec, const char *Rule) {
+  BatchResult R;
+  R.Outcomes = makeOutcomeStorage(Spec);
+  for (SimulationOutcome &O : R.Outcomes) {
+    O.Result.Status = IntegrationStatus::Aborted;
+    O.Result.FinalTime = Spec.StartTime;
+    O.Result.Detail = Rule;
+  }
+  R.Failures = R.Outcomes.size();
+  return R;
+}
+
 /// Assembles the common parts of a BatchResult.
 BatchResult finalizeBatch(const BatchSpec &Spec, const CostModel &Model,
                           Backend B, const CompiledModel &Compiled,
@@ -117,6 +143,8 @@ CpuSolverSimulator::CpuSolverSimulator(std::string Solver,
 
 BatchResult CpuSolverSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
+  if (const char *Rule = invalidWindowRule(Spec))
+    return rejectBatch(Spec, Rule);
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
@@ -141,6 +169,8 @@ CoarseGpuSimulator::CoarseGpuSimulator(CostModel M, unsigned HostWorkers)
 
 BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
+  if (const char *Rule = invalidWindowRule(Spec))
+    return rejectBatch(Spec, Rule);
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
@@ -170,6 +200,8 @@ FineGpuSimulator::FineGpuSimulator(CostModel M, unsigned HostWorkers)
 
 BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
+  if (const char *Rule = invalidWindowRule(Spec))
+    return rejectBatch(Spec, Rule);
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
@@ -212,6 +244,8 @@ FineCoarseSimulator::FineCoarseSimulator(CostModel M, unsigned HostWorkers)
 
 BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
+  if (const char *Rule = invalidWindowRule(Spec))
+    return rejectBatch(Spec, Rule);
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
   MetricsRegistry &M = metrics();

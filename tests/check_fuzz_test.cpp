@@ -8,15 +8,13 @@
 // RBM generator, a bounded zero-divergence fuzz run across every
 // simulator personality, and a forced-divergence self-test proving the
 // minimizer and repro-file machinery actually fire. Also mutation fuzz
-// of the wire protocol and of the three file readers.
+// of the three file readers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/CaseFile.h"
 #include "check/Differential.h"
 #include "check/Golden.h"
-#include "fabric/WireFormat.h"
-#include "io/WireIo.h"
 #include "linalg/Jacobian.h"
 #include "rbm/CuratedModels.h"
 #include "rbm/MassAction.h"
@@ -247,90 +245,6 @@ TEST(DifferentialFuzzTest, AnalyticJacobianMatchesFiniteDifferences) {
   EXPECT_GT(SeenMenten, 0u);
   EXPECT_GT(SeenHill, 0u);
   EXPECT_GT(SeenRepress, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Wire-protocol fuzz (satellite of the cross-node fabric PR): the frame
-// parser and payload decoders face a byte stream from the network, so
-// they must never crash, over-read, or mis-allocate on arbitrary input.
-// Two legs: pure garbage, and valid frames mutilated at a random byte.
-//===----------------------------------------------------------------------===//
-
-TEST(WireFuzzTest, ParserSurvivesRandomByteStreams) {
-  Rng Gen(0xA11CE); // Seeded: failures replay exactly.
-  for (int Trial = 0; Trial < 4000; ++Trial) {
-    std::vector<uint8_t> Junk(Gen.nextU64() % 2048);
-    for (uint8_t &B : Junk)
-      B = static_cast<uint8_t>(Gen.nextU64());
-    // Must not crash; acceptance of random bytes past magic + CRC is
-    // a ~2^-64 event, so any ok() here is a real finding.
-    ErrorOr<FrameView> V = parseFrame(Junk);
-    EXPECT_FALSE(V.ok()) << "trial " << Trial;
-    FrameInspection I = inspectFrame(Junk);
-    EXPECT_FALSE(I.Valid) << "trial " << Trial;
-  }
-}
-
-TEST(WireFuzzTest, DecodersSurviveMutatedValidFrames) {
-  Rng Gen(20260808);
-  ShardGrantMsg Grant;
-  Grant.ShardId = 128;
-  Grant.Epoch = 2;
-  Grant.First = 128;
-  Grant.Attempt = 1;
-  Grant.ChunkSize = 64;
-  Grant.EndTime = 5.0;
-  Grant.OutputSamples = 17;
-  for (int I = 0; I < 8; ++I) {
-    Grant.RateConstantSets.push_back({Gen.uniform(), Gen.uniform()});
-    Grant.InitialStates.push_back({Gen.uniform(0.0, 10.0)});
-  }
-  const std::vector<uint8_t> Good = encodeShardGrant(Grant);
-  ASSERT_TRUE(parseFrame(Good).ok());
-
-  size_t Parsed = 0;
-  for (int Trial = 0; Trial < 4000; ++Trial) {
-    std::vector<uint8_t> Bad = Good;
-    const size_t Flips = 1 + Gen.nextU64() % 4;
-    for (size_t F = 0; F < Flips; ++F)
-      Bad[Gen.nextU64() % Bad.size()] ^=
-          static_cast<uint8_t>(1u << (Gen.nextU64() % 8));
-    ErrorOr<FrameView> V = parseFrame(Bad);
-    if (!V.ok())
-      continue;
-    // Only reserved-byte flips can get past the CRC; the payload under
-    // a valid CRC is the original, so the decode must succeed too.
-    ++Parsed;
-    ErrorOr<ShardGrantMsg> M = decodeShardGrant(*V);
-    EXPECT_TRUE(M.ok()) << "trial " << Trial << ": " << M.message();
-    if (M.ok()) {
-      EXPECT_EQ(M->ShardId, Grant.ShardId);
-    }
-  }
-  // Sanity: the mutation loop must have actually been rejecting frames,
-  // not silently accepting everything through a broken checksum.
-  EXPECT_LT(Parsed, 200u);
-}
-
-TEST(WireFuzzTest, OutcomeDecoderIsBoundedOnRandomPayloads) {
-  Rng Gen(77);
-  WireLimits Limits;
-  Limits.MaxStringBytes = 4096;
-  Limits.MaxVectorDoubles = 1 << 16;
-  Limits.MaxBatchSimulations = 1 << 12;
-  for (int Trial = 0; Trial < 4000; ++Trial) {
-    std::vector<uint8_t> Junk(Gen.nextU64() % 1024);
-    for (uint8_t &B : Junk)
-      B = static_cast<uint8_t>(Gen.nextU64());
-    WireReader R(Junk.data(), Junk.size());
-    SimulationOutcome O;
-    // Most junk fails fast on a length check; the contract is simply
-    // "no crash, no unbounded allocation, clean false on failure".
-    (void)decodeOutcome(R, O, Limits);
-    WireReader R2(Junk.data(), Junk.size());
-    std::vector<std::vector<double>> Sets;
-    (void)decodeParamSets(R2, Sets, Limits);
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,19 +6,14 @@
 
 #include "core/BatchEngine.h"
 #include "core/ParameterSpace.h"
-#include "fabric/LoopbackFabric.h"
-#include "fabric/NodeWorker.h"
 
 #include "rbm/CuratedModels.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <string>
-#include <thread>
 
 using namespace psg;
 
@@ -217,7 +212,7 @@ TEST(BatchEngineTest, OutcomeOrderMatchesPointOrder) {
 
 TEST(BatchEngineTest, EmptyRunsReturnEmptyReports) {
   // No points and no parameterizations are a valid, empty run on the
-  // single-device path, the sharded one and the fabric one.
+  // single-device path and the sharded one.
   ReactionNetwork Net = makeDecayChainNetwork(4, 1.0);
   ParameterSpace Space(Net);
   Space.addAxis(initialAxis(Net, "S0", 0.5, 2.0));
@@ -236,37 +231,61 @@ TEST(BatchEngineTest, EmptyRunsReturnEmptyReports) {
     expectEmpty(Engine.run(Space, {}), Row + ", points");
     expectEmpty(Engine.runParameterizations(Net, {}), Row + ", params");
   }
+}
 
-  // The fabric path, each entry point on its own loopback fabric with one
-  // worker that has sent its Hello. The coordinator draws on the source
-  // only once a node has joined; with none, an empty run waits out the
-  // hello timeout instead.
-  for (bool FromPoints : {true, false}) {
-    LoopbackFabric Fabric;
-    std::unique_ptr<FabricEndpoint> CoordEp =
-        Fabric.createEndpoint(CoordinatorNode);
-    std::unique_ptr<FabricEndpoint> WorkerEp = Fabric.createEndpoint(1);
-    std::thread Worker([&] {
-      SchedOptions Local;
-      Local.Devices = {"psg-engine"};
-      NodeWorker W(CostModel::paperSetup(), *WorkerEp, Local, 0.01);
-      W.serve(Net);
-    });
-    while (Fabric.framesSent() == 0) // The worker's Hello.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EngineOptions Opts;
-    Opts.EndTime = 1.0;
-    Opts.Fabric.Endpoint = CoordEp.get();
-    Opts.Fabric.Workers = {1};
-    Opts.Fabric.HeartbeatIntervalSeconds = 0.005;
-    BatchEngine Engine(CostModel::paperSetup(), Opts);
-    const EngineReport Report = FromPoints
-                                    ? Engine.run(Space, {})
-                                    : Engine.runParameterizations(Net, {});
-    Fabric.shutdown();
-    Worker.join();
-    expectEmpty(Report, FromPoints ? "fabric, points" : "fabric, params");
-  }
+TEST(BatchEngineTest, InvalidWindowFailsWithoutIntegrating) {
+  // A window the simulators cannot integrate fails every simulation with
+  // status Aborted before any probe, step or reroute, on every
+  // personality and on the sharded path.
+  ReactionNetwork Net = makeBrusselatorNetwork();
+  struct Window {
+    const char *Name;
+    double StartTime, EndTime;
+    size_t OutputSamples;
+  };
+  const Window Rows[] = {
+      {"reversed", 1.0, 0.0, 11},
+      {"NaN end", 0.0, std::nan(""), 0},
+      {"one sample", 0.0, 1.0, 1},
+  };
+  std::vector<std::vector<std::string>> Paths;
+  for (const std::string &Name : simulatorNames())
+    Paths.push_back({Name});
+  Paths.push_back({"psg-engine", "psg-engine"});
+  Counter &Reroutes = metrics().counter("psg.engine.stiffness_reroutes");
+  for (const Window &W : Rows)
+    for (const std::vector<std::string> &Devices : Paths) {
+      EngineOptions Opts;
+      Opts.SimulatorName = Devices.front();
+      if (Devices.size() > 1)
+        Opts.Sched.Devices = Devices;
+      Opts.StartTime = W.StartTime;
+      Opts.EndTime = W.EndTime;
+      Opts.OutputSamples = W.OutputSamples;
+      BatchEngine Engine(CostModel::paperSetup(), Opts);
+      std::vector<Parameterization> Params(4);
+      for (Parameterization &P : Params) {
+        P.InitialState = Net.initialState();
+        for (size_t R = 0; R < Net.numReactions(); ++R)
+          P.RateConstants.push_back(Net.reaction(R).RateConstant);
+      }
+      const std::string Row = std::string(W.Name) + " on " +
+                              std::to_string(Devices.size()) + "x " +
+                              Devices.front();
+      const uint64_t ReroutesBefore = Reroutes.value();
+      const EngineReport Report =
+          Engine.runParameterizations(Net, std::move(Params));
+      EXPECT_EQ(Reroutes.value(), ReroutesBefore) << Row;
+      ASSERT_EQ(Report.Outcomes.size(), 4u) << Row;
+      EXPECT_EQ(Report.Failures, 4u) << Row;
+      EXPECT_EQ(Report.TotalStats.Steps, 0u) << Row;
+      for (const SimulationOutcome &O : Report.Outcomes) {
+        EXPECT_EQ(O.Result.Status, IntegrationStatus::Aborted) << Row;
+        EXPECT_EQ(O.Result.Stats.Steps, 0u) << Row;
+        EXPECT_EQ(O.Result.Stats.RhsEvaluations, 0u) << Row;
+        EXPECT_FALSE(O.Result.Detail.empty()) << Row;
+      }
+    }
 }
 
 TEST(BatchEngineTest, ThroughputAndTimesAreReported) {

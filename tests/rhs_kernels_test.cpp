@@ -296,19 +296,19 @@ TEST(MatrixPatternClaimTest, ClaimLifecycle) {
   EXPECT_FALSE(M.claimPattern(&OwnerA, 2, 3, 3));
   EXPECT_EQ(M(0, 0), 0.0);
   M(0, 0) = 7.0;
-  EXPECT_FALSE(M.claimPattern(&OwnerB + 1, 2, 3, 3));
+  EXPECT_FALSE(M.claimPattern(&OwnerB, 2, 3, 3));
   EXPECT_EQ(M(0, 0), 0.0);
   M(1, 1) = 5.0;
-  EXPECT_FALSE(M.claimPattern(&OwnerB + 1, 2, 4, 4));
+  EXPECT_FALSE(M.claimPattern(&OwnerB, 2, 4, 4));
   EXPECT_EQ(M(1, 1), 0.0);
   // resize / ensureShape / setZero drop the claim.
-  EXPECT_TRUE(M.claimPattern(&OwnerB + 1, 2, 4, 4));
+  EXPECT_TRUE(M.claimPattern(&OwnerB, 2, 4, 4));
   M.resize(4, 4);
-  EXPECT_FALSE(M.claimPattern(&OwnerB + 1, 2, 4, 4));
+  EXPECT_FALSE(M.claimPattern(&OwnerB, 2, 4, 4));
   M.ensureShape(4, 4);
-  EXPECT_FALSE(M.claimPattern(&OwnerB + 1, 2, 4, 4));
+  EXPECT_FALSE(M.claimPattern(&OwnerB, 2, 4, 4));
   M.setZero();
-  EXPECT_FALSE(M.claimPattern(&OwnerB + 1, 2, 4, 4));
+  EXPECT_FALSE(M.claimPattern(&OwnerB, 2, 4, 4));
 }
 
 TEST(MatrixPatternClaimTest, EnsureShapeKeepsContentsOnMatch) {

@@ -4,11 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sim/Oracle.h"
 #include "sim/Simulators.h"
 #include "sim/WorkProfile.h"
 
 #include "rbm/CuratedModels.h"
 #include "rbm/SyntheticGenerator.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -203,6 +205,92 @@ TEST(SimulatorTest, PersonalitiesAgreeNumerically) {
   for (size_t I = 1; I < Finals.size(); ++I)
     EXPECT_NEAR(Finals[I], Finals[0],
                 2e-3 * (1.0 + std::abs(Finals[0])));
+}
+
+TEST(OutcomeDigestTest, PersonalitiesKeepTheirOutcomeBits) {
+  // Committed outcome digests (sim/Oracle.h) of direct Simulator::run
+  // calls, one per model and personality (columns in simulatorNames()
+  // order): 24 parameterizations (the defaults, then perturbRateConstants
+  // draws from Rng(7)), 11 samples, default solver options. Every build
+  // type and sanitizer leg must give these bits; a leg that differs is a
+  // finding to explain, never a reason for a second table. A change that
+  // alters outcome bits on purpose updates the constants and names the
+  // changed rows in CHANGES.md. cpu-vode fails all 24 Robertson runs on
+  // its step budget (DESIGN, Simplifications), and its digest pins that.
+  struct Row {
+    const char *Model;
+    ReactionNetwork Net;
+    double EndTime;
+    uint64_t Digests[5];
+  };
+  const Row Rows[] = {
+      {"robertson",
+       makeRobertsonNetwork(),
+       10.0,
+       {0xa3f630a1ceb38cd6ull, 0x6657fd174d24e14dull, 0xa3f630a1ceb38cd6ull,
+        0xfa8febd043109780ull, 0x1ac9f07dc274fd92ull}},
+      {"brusselator",
+       makeBrusselatorNetwork(),
+       10.0,
+       {0xc724fe208a2c916aull, 0xae21f5d2dc864e1dull, 0xc724fe208a2c916aull,
+        0xb7f756440495b85bull, 0x2b32fbf43356342bull}},
+      {"repressilator",
+       makeRepressilatorNetwork(),
+       20.0,
+       {0x6a037927723d7261ull, 0x1b38062f29ea2b56ull, 0x6a037927723d7261ull,
+        0xc58ccc36f72df101ull, 0x52c08416b89b4c7dull}},
+      {"decay-chain-12",
+       makeDecayChainNetwork(12, 4.0),
+       5.0,
+       {0xe9ada9fafbaf792eull, 0x9760023f9e115cfaull, 0xe9ada9fafbaf792eull,
+        0x49b07a40a7b02662ull, 0x841d81c7b4d878dcull}},
+      {"metabolic",
+       makeMetabolicSurrogate().Net,
+       5.0,
+       {0x2c8047e7cb2e3883ull, 0x7ea134be071e3a83ull, 0x2c8047e7cb2e3883ull,
+        0x24d33fa1d8f7bda1ull, 0xaf3e645b48c74858ull}},
+      {"autophagy-16",
+       makeAutophagySurrogate(16, 8).Net,
+       20.0,
+       {0x34fa2865ee3c0e9cull, 0xaf220a3a2f02dd1full, 0x34fa2865ee3c0e9cull,
+        0x27673e44e70bc097ull, 0x2a2df97d94ef46d0ull}},
+  };
+  const std::vector<std::string> Names = simulatorNames();
+  ASSERT_EQ(Names.size(), std::size(Rows[0].Digests));
+  CostModel M = CostModel::paperSetup();
+  for (const Row &R : Rows) {
+    BatchSpec Spec;
+    Spec.Model = &R.Net;
+    Spec.Batch = 24;
+    Spec.EndTime = R.EndTime;
+    Spec.OutputSamples = 11;
+    Rng Gen(7);
+    for (uint64_t I = 0; I < Spec.Batch; ++I) {
+      std::vector<double> Rates;
+      for (const Reaction &Rx : R.Net.allReactions())
+        Rates.push_back(Rx.RateConstant);
+      if (I > 0)
+        perturbRateConstants(Rates, Gen);
+      Spec.RateConstantSets.push_back(std::move(Rates));
+    }
+    for (size_t P = 0; P < Names.size(); ++P) {
+      auto Sim = createSimulator(Names[P], M);
+      ASSERT_TRUE(Sim.ok()) << Names[P];
+      const std::vector<SimulationOutcome> Outcomes =
+          (*Sim)->run(Spec).Outcomes;
+      const uint64_t Digest = outcomeDigest(Outcomes);
+      EXPECT_EQ(formatString("0x%016llx", (unsigned long long)Digest),
+                formatString("0x%016llx", (unsigned long long)R.Digests[P]))
+          << Names[P] << " on " << R.Model;
+      // Folding a stream's sub-batches in order gives the same digest.
+      const std::vector<SimulationOutcome> Head(Outcomes.begin(),
+                                                Outcomes.begin() + 10);
+      const std::vector<SimulationOutcome> Tail(Outcomes.begin() + 10,
+                                                Outcomes.end());
+      EXPECT_EQ(outcomeDigest(Tail, outcomeDigest(Head)), Digest)
+          << Names[P] << " on " << R.Model;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

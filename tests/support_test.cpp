@@ -368,8 +368,8 @@ TEST(CliOptionsTest, UnknownFlagIsRejected) {
                        cliCommandFlags("simulate")),
             "unknown option --bogus");
   // A flag of another command is unknown too.
-  EXPECT_EQ(parseError({"--heartbeat", "1"}, cliCommandFlags("simulate")),
-            "unknown option --heartbeat");
+  EXPECT_EQ(parseError({"--inflight", "1"}, cliCommandFlags("simulate")),
+            "unknown option --inflight");
   EXPECT_EQ(cliCommandFlags("bogus"), nullptr);
   EXPECT_EQ(checkCommandFlags("bogus"), nullptr);
 }
@@ -415,9 +415,10 @@ TEST(CliOptionsTest, SwitchLeavesTheNextArgumentAnOperand) {
 
 TEST(CliOptionsTest, DurationsAndTimeoutsMustBePositive) {
   const std::pair<const char *, const char *> Durations[] = {
-      {"simulate", "accept-timeout"}, {"psa1d", "accept-timeout"},
-      {"worker", "connect-timeout"},  {"worker", "heartbeat"},
-      {"steady", "maxtime"},          {"steady", "timescale"}};
+      {"simulate", "tend"},
+      {"psa1d", "tend"},
+      {"steady", "maxtime"},
+      {"steady", "timescale"}};
   for (const auto &[Command, Flag] : Durations) {
     const std::string Arg = std::string("--") + Flag;
     for (const char *Value : {"-1", "0", "-0.5"})

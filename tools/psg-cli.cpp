@@ -23,8 +23,6 @@
 #include "analysis/SteadyState.h"
 #include "analysis/StreamReducers.h"
 #include "core/BatchEngine.h"
-#include "fabric/NodeWorker.h"
-#include "fabric/TcpFabric.h"
 #include "io/ResultsIo.h"
 #include "rbm/Conservation.h"
 #include "rbm/CuratedModels.h"
@@ -40,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 
 using namespace psg;
@@ -49,7 +48,7 @@ namespace {
 /// (2). Bad flags and values, unloadable models and unknown simulators
 /// must take this path, not fatalError: the user gets a message and a
 /// sane exit status instead of an abort from the middle of a run.
-/// fatalError stays for socket and I/O failures.
+/// fatalError stays for file-write failures.
 int cliError(const std::string &Message) {
   std::fprintf(stderr, "psg-cli: error: %s\n", Message.c_str());
   return 2;
@@ -106,7 +105,7 @@ void saveModelOrDie(const ReactionNetwork &Net, const std::string &Path) {
     fatalError("cannot save model '" + Path + "': " + S.message());
 }
 
-/// Parses the multi-device flags shared by simulate, psa1d and worker:
+/// Parses the multi-device flags shared by simulate and psa1d:
 /// --devices takes either a count (that many copies of --simulator) or a
 /// comma-separated personality list ("gpu-coarse,gpu-coarse,psg-engine"),
 /// and --shard-chunk overrides the base shard size. Fails when
@@ -139,76 +138,6 @@ Status applySchedOptions(const Options &O, EngineOptions &Opts) {
   return Status::success();
 }
 
-/// Holds the coordinator-side TCP endpoint for the lifetime of a
-/// distributed run; FabricOptions::Endpoint is non-owning.
-struct FabricSession {
-  std::unique_ptr<TcpListener> Listener;
-  std::unique_ptr<FabricEndpoint> Endpoint;
-};
-
-/// Parses the cross-node flags shared by simulate and psa1d: with
-/// `--coordinator PORT --nodes N`, binds the port, blocks until N
-/// workers connect, and enables the fabric path in \p Opts. Fails on a
-/// bad port before binding.
-Status applyFabricOptions(const Options &O, EngineOptions &Opts,
-                          FabricSession &S) {
-  if (!O.has("coordinator"))
-    return Status::success();
-  const unsigned Port = O.getUnsigned("coordinator", 0);
-  if (Port > 65535)
-    return Status::failure("--coordinator needs a TCP port (0 = ephemeral)");
-  const unsigned Nodes = O.getUnsigned("nodes", 1);
-
-  auto Listener = TcpListener::create(static_cast<uint16_t>(Port));
-  if (!Listener)
-    fatalError(Listener.message());
-  S.Listener = std::move(*Listener);
-  std::fprintf(stderr,
-               "coordinator:        port %u, waiting for %u worker(s)\n",
-               (unsigned)S.Listener->port(), Nodes);
-  auto Endpoint =
-      S.Listener->acceptWorkers(Nodes, O.getDouble("accept-timeout", 120.0));
-  if (!Endpoint)
-    fatalError(Endpoint.message());
-  S.Endpoint = std::move(*Endpoint);
-
-  Opts.Fabric.Endpoint = S.Endpoint.get();
-  for (unsigned N = 1; N <= Nodes; ++N)
-    Opts.Fabric.Workers.push_back(N);
-  if (O.has("grant-size"))
-    Opts.Fabric.GrantSize = O.getUnsigned("grant-size", 0);
-  return Status::success();
-}
-
-/// Prints the cross-node telemetry of a distributed run from the
-/// frozen metrics snapshot.
-void printFabricTelemetry(const MetricsSnapshot &M, size_t Nodes) {
-  std::printf("fabric:             %llu shards over %zu node(s), %llu "
-              "requeues, %llu deaths, %llu rejoins\n",
-              (unsigned long long)M.counterValue("psg.fabric.shards"),
-              Nodes,
-              (unsigned long long)M.counterValue("psg.fabric.requeues"),
-              (unsigned long long)M.counterValue("psg.fabric.node_deaths"),
-              (unsigned long long)M.counterValue("psg.fabric.node_rejoins"));
-  std::printf(
-      "fabric delivery:    %llu duplicates suppressed, %llu stale "
-      "batches, %llu lost simulations\n",
-      (unsigned long long)M.counterValue("psg.fabric.duplicates_suppressed"),
-      (unsigned long long)M.counterValue("psg.fabric.stale_batches"),
-      (unsigned long long)M.counterValue("psg.fabric.lost_simulations"));
-  std::printf("fabric balance:     modeled makespan %.4g s, imbalance "
-              "%.3f, mean utilization %.3f\n",
-              M.gaugeValue("psg.fabric.modeled_makespan_s"),
-              M.gaugeValue("psg.fabric.shard_imbalance"),
-              M.gaugeValue("psg.fabric.node_utilization"));
-  std::printf("fabric wire:        %llu frames / %llu bytes sent, %llu "
-              "frames / %llu bytes received\n",
-              (unsigned long long)M.counterValue("psg.fabric.frames_sent"),
-              (unsigned long long)M.counterValue("psg.fabric.bytes_sent"),
-              (unsigned long long)M.counterValue("psg.fabric.frames_received"),
-              (unsigned long long)M.counterValue("psg.fabric.bytes_received"));
-}
-
 /// Prints the scheduler telemetry of a sharded run from the frozen
 /// metrics snapshot.
 void printSchedTelemetry(const MetricsSnapshot &M,
@@ -229,6 +158,26 @@ void printSchedTelemetry(const MetricsSnapshot &M,
                 Devices[D].c_str(),
                 M.gaugeValue(formatString(
                     "psg.sched.device.%u.utilization", (unsigned)D)));
+}
+
+/// "N failed", followed when N > 0 by the count of each failure status,
+/// e.g. "4 failed: 4 max-steps-exceeded".
+std::string failureSummary(const std::vector<SimulationOutcome> &Outcomes) {
+  std::map<IntegrationStatus, size_t> ByStatus;
+  size_t Failed = 0;
+  for (const SimulationOutcome &O : Outcomes)
+    if (!O.Result.ok()) {
+      ++ByStatus[O.Result.Status];
+      ++Failed;
+    }
+  std::string Summary = formatString("%zu failed", Failed);
+  const char *Separator = ": ";
+  for (const auto &[Why, Count] : ByStatus) {
+    Summary += formatString("%s%zu %s", Separator, Count,
+                            integrationStatusName(Why));
+    Separator = ", ";
+  }
+  return Summary;
 }
 
 int usage() {
@@ -256,11 +205,6 @@ int usage() {
       "      (and, with --out, appended to the CSV) as it finishes,\n"
       "      and at most --inflight sub-batches of outcomes are ever\n"
       "      resident; prints overlap ratio and peak residency\n"
-      "  worker <model> --connect HOST:PORT [--simulator NAME]\n"
-      "         [--devices N|LIST] [--shard-chunk C] [--heartbeat S]\n"
-      "      serve shard grants from a remote coordinator: runs each\n"
-      "      grant through a local multi-device executor and streams\n"
-      "      the outcomes back until the coordinator says goodbye\n"
       "  steady <model> [--maxtime T] [--timescale S]\n"
       "      search for a steady state by implicit integration\n"
       "  generate --species N --reactions M [--seed S] [--out F]\n"
@@ -275,15 +219,6 @@ int usage() {
       "                          (one logical device per entry)\n"
       "  --shard-chunk C         base shard size in simulations\n"
       "                          (default: the sub-batch size)\n"
-      "\n"
-      "cross-node distribution (simulate, psa1d):\n"
-      "  --coordinator PORT      listen on PORT (0 = ephemeral) and\n"
-      "                          distribute the sweep across connected\n"
-      "                          `psg-cli worker` nodes\n"
-      "  --nodes N               workers to wait for (default 1)\n"
-      "  --grant-size G          simulations per shard grant (default:\n"
-      "                          chunk x node device count)\n"
-      "  --accept-timeout S      worker admission deadline (default 120)\n"
       "\n"
       "global options (any command; every other flag must belong to\n"
       "the command, or psg-cli exits 2):\n"
@@ -367,9 +302,6 @@ int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
     return cliError("--samples needs 0 or at least 2 (both endpoints)");
   if (Status S = applySchedOptions(O, Opts); !S)
     return cliError(S.message());
-  FabricSession Fab;
-  if (Status S = applyFabricOptions(O, Opts, Fab); !S)
-    return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
   const unsigned Batch = O.getUnsigned("batch", 1);
@@ -386,8 +318,8 @@ int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
   }
 
   EngineReport Report = Engine.runParameterizations(Net, std::move(Params));
-  std::printf("simulations:        %zu (%zu failed)\n",
-              Report.Outcomes.size(), Report.Failures);
+  std::printf("simulations:        %zu (%s)\n", Report.Outcomes.size(),
+              failureSummary(Report.Outcomes).c_str());
   std::printf("steps / rhs evals:  %llu / %llu\n",
               (unsigned long long)Report.TotalStats.Steps,
               (unsigned long long)Report.TotalStats.RhsEvaluations);
@@ -396,9 +328,7 @@ int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
               Report.SimulationTime.total(),
               Report.IntegrationTime.total(), Opts.SimulatorName.c_str());
   std::printf("host wall time:     %.4g s\n", Report.HostWallSeconds);
-  if (Opts.Fabric.enabled())
-    printFabricTelemetry(Report.Metrics, Opts.Fabric.Workers.size());
-  else if (Opts.Sched.enabled())
+  if (Opts.Sched.enabled())
     printSchedTelemetry(Report.Metrics, Opts.Sched.Devices);
 
   const std::string Out = O.get("out", "trajectory.csv");
@@ -459,9 +389,6 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
     Opts.SubBatchSize = O.getUnsigned("sub-batch", 64);
   if (Status S = applySchedOptions(O, Opts); !S)
     return cliError(S.message());
-  FabricSession Fab;
-  if (Status S = applyFabricOptions(O, Opts, Fab); !S)
-    return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
   const size_t Points = O.getUnsigned("points", 17);
@@ -501,9 +428,7 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
                 "resident, overlap ratio %.3f\n",
                 (unsigned long long)Report.SubBatches,
                 Report.PeakResidentOutcomes, Report.OverlapRatio);
-    if (Opts.Fabric.enabled())
-      printFabricTelemetry(Report.Metrics, Opts.Fabric.Workers.size());
-    else if (Opts.Sched.enabled())
+    if (Opts.Sched.enabled())
       printSchedTelemetry(Report.Metrics, Opts.Sched.Devices);
     return 0;
   }
@@ -516,9 +441,7 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
     std::printf("%14.6g %14.6g\n", R.AxisValues[I], R.Metric[I]);
   std::printf("\n%zu simulations, modeled %.4g s\n", R.Report.Simulations,
               R.Report.SimulationTime.total());
-  if (Opts.Fabric.enabled())
-    printFabricTelemetry(R.Report.Metrics, Opts.Fabric.Workers.size());
-  else if (Opts.Sched.enabled())
+  if (Opts.Sched.enabled())
     printSchedTelemetry(R.Report.Metrics, Opts.Sched.Devices);
 
   if (O.has("out")) {
@@ -528,48 +451,6 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
     if (Status S = Csv.saveToFile(O.get("out", "")); !S)
       fatalError(S.message());
   }
-  return 0;
-}
-
-int cmdWorker(const Options &O, const ReactionNetwork &Net) {
-
-  const std::string Connect = O.get("connect", "");
-  const size_t Colon = Connect.rfind(':');
-  unsigned Port = 0;
-  if (Colon == std::string::npos ||
-      !parseUnsigned(Connect.substr(Colon + 1), Port) || Port == 0 ||
-      Port > 65535)
-    return cliError("worker needs --connect HOST:PORT");
-  const std::string Host =
-      Colon == 0 ? std::string("127.0.0.1") : Connect.substr(0, Colon);
-
-  // The worker's local fleet reuses the --devices grammar; default is
-  // one device of --simulator.
-  EngineOptions Probe;
-  Probe.SimulatorName = O.get("simulator", "psg-engine");
-  if (Status S = applySchedOptions(O, Probe); !S)
-    return cliError(S.message());
-  SchedOptions Local = Probe.Sched;
-  if (Local.Devices.empty())
-    Local.Devices = {Probe.SimulatorName};
-
-  auto Endpoint = connectTcpWorker(Host, static_cast<uint16_t>(Port),
-                                   O.getDouble("connect-timeout", 120.0));
-  if (!Endpoint)
-    fatalError(Endpoint.message());
-  std::fprintf(stderr, "worker:             node %u, %zu device(s), %s\n",
-               (unsigned)(*Endpoint)->id(), Local.Devices.size(),
-               Connect.c_str());
-
-  NodeWorker Worker(CostModel::paperSetup(), **Endpoint, Local,
-                    O.getDouble("heartbeat", 0.05));
-  WorkerReport R = Worker.serve(Net);
-  std::printf("worker done:        %llu grants, %llu simulations, %llu "
-              "heartbeats, modeled %.4g s busy (%s)\n",
-              (unsigned long long)R.Grants,
-              (unsigned long long)R.Simulations,
-              (unsigned long long)R.Heartbeats, R.ModeledBusySeconds,
-              R.ExitReason.c_str());
   return 0;
 }
 
@@ -643,8 +524,6 @@ int runCommand(const std::string &Command, const Options &O) {
     return cmdSimulate(O, *Net);
   if (Command == "psa1d")
     return cmdPsa1d(O, *Net);
-  if (Command == "worker")
-    return cmdWorker(O, *Net);
   if (Command == "steady")
     return cmdSteady(O, *Net);
   return cmdConvert(O, *Net);
