@@ -6,7 +6,6 @@
 
 #include "core/BatchEngine.h"
 
-#include "sched/ShardedExecutor.h"
 #include "support/Error.h"
 #include "support/Logging.h"
 #include "support/Timer.h"
@@ -27,9 +26,8 @@ void accumulateModeled(ModeledTime &Into, const ModeledTime &From) {
 }
 
 /// The sink behind run()/runParameterizations: re-materializes every
-/// streamed outcome into a caller-owned vector at its global index.
-/// Single-device and sharded streams both deliver ascending contiguous
-/// sub-batches.
+/// streamed outcome into a caller-owned vector at its global index. The
+/// stream delivers ascending contiguous sub-batches.
 class MaterializingSink final : public OutcomeSink {
 public:
   explicit MaterializingSink(std::vector<SimulationOutcome> &Into)
@@ -69,8 +67,6 @@ BatchEngine::BatchEngine(const CostModel &Model, EngineOptions Options)
   Sim = std::move(*SimOrErr);
 }
 
-BatchEngine::~BatchEngine() = default;
-
 std::shared_ptr<const CompiledModel>
 BatchEngine::compiled(const ReactionNetwork &Net) {
   const uint64_t Fingerprint = networkFingerprint(Net);
@@ -99,14 +95,6 @@ StreamReport
 BatchEngine::streamParameterizations(const ReactionNetwork &Net,
                                      const ParameterizationSource &Source,
                                      OutcomeSink &Sink) {
-  if (Opts.Sched.enabled()) {
-    // Multi-device sharded path: the executor owns the device fleet and
-    // is kept warm across runs like Sim is.
-    if (!Sharded)
-      Sharded = std::make_unique<ShardedExecutor>(Model, Opts, Opts.Sched);
-    return Sharded->streamParameterizations(Net, compiled(Net), Source, Sink)
-        .Stream;
-  }
   TraceSpan RunSpan("engine.run", "engine");
   MetricsRegistry &M = metrics();
   Counter &SubBatchCount = M.counter("psg.engine.sub_batches");

@@ -27,7 +27,6 @@
 
 #include "core/ParameterSpace.h"
 #include "core/PointGenerator.h"
-#include "sched/SchedOptions.h"
 #include "sim/Simulator.h"
 #include "support/Metrics.h"
 
@@ -35,8 +34,6 @@
 #include <memory>
 
 namespace psg {
-
-class ShardedExecutor;
 
 /// Engine configuration.
 struct EngineOptions {
@@ -57,21 +54,13 @@ struct EngineOptions {
   double EndTime = 1.0;
   /// Solver tolerances and limits.
   SolverOptions Solver;
-  /// Multi-device sharding: when Sched.enabled(), streaming runs are
-  /// partitioned across Sched.Devices logical devices by the
-  /// sched::ShardedExecutor (per-device work queues, cost-model chunk
-  /// sizing, work-stealing, bounded re-queue) instead of the
-  /// single-device pipeline; SimulatorName is then unused. Results stay
-  /// bit-exact versus a single-device run whose SubBatchSize equals the
-  /// shard chunk.
-  SchedOptions Sched;
 };
 
 /// Per-sub-batch consumer of a streaming engine run.
 class OutcomeSink {
 public:
-  /// Defined inline so sink implementations outside psg_core (the sched
-  /// layer's reorder buffer, analysis reducers) need no core symbols.
+  /// Defined inline so sink implementations outside psg_core (the
+  /// analysis reducers) need no core symbols.
   virtual ~OutcomeSink() = default;
 
   /// Consumes the outcomes of one integrated sub-batch. \p FirstIndex is
@@ -149,7 +138,6 @@ struct EngineReport {
 class BatchEngine {
 public:
   BatchEngine(const CostModel &Model, EngineOptions Opts);
-  ~BatchEngine(); ///< Out of line: ShardedExecutor is incomplete here.
 
   const EngineOptions &options() const { return Opts; }
   Simulator &simulator() { return *Sim; }
@@ -182,10 +170,6 @@ private:
   EngineOptions Opts;
   CostModel Model;
   std::unique_ptr<Simulator> Sim;
-  /// The multi-device scheduler, created lazily on the first sharded
-  /// stream (Opts.Sched.enabled()) and kept warm across runs so device
-  /// worker pools and solver workspaces persist like Sim's do.
-  std::unique_ptr<ShardedExecutor> Sharded;
 
   /// Compilation cache: the last network's compiled model, keyed by its
   /// structural fingerprint. Every sub-batch of a run — and every later

@@ -28,10 +28,8 @@ enum class IntegrationStatus {
   SingularMatrix,   ///< Newton/iteration matrix could not be factored.
   NonFiniteState,   ///< NaN/Inf appeared in the state.
   StiffnessDetected, ///< Explicit solver flagged stiffness (engine re-routes).
-  Aborted           ///< Execution layer refused or gave up: a batch whose
-                    ///< window is invalid (Detail names the rule), or a
-                    ///< sweep shard dropped after exhausting its
-                    ///< re-queue budget.
+  Aborted           ///< Execution layer refused the batch: its window is
+                    ///< invalid (Detail names the rule).
 };
 
 /// Short human-readable name for \p Status.

@@ -119,15 +119,11 @@ std::vector<std::unique_ptr<Simulator>>
 createAllSimulators(const CostModel &Model);
 
 /// Creates one simulator by name; fails on unknown names with
-/// checkSimulatorName's message. \p HostWorkers
-/// caps the personality's host worker pool (0 = hardware concurrency) so
-/// several simulator instances can share a machine without
-/// oversubscribing it — the sharded scheduler's per-device pinning. Each
-/// GPU personality owns the vgpu::VirtualDevice its kernels launch on;
-/// the CPU personalities run serially on the caller and ignore it.
-ErrorOr<std::unique_ptr<Simulator>>
-createSimulator(const std::string &Name, const CostModel &Model,
-                unsigned HostWorkers = 0);
+/// checkSimulatorName's message. Each GPU personality owns the
+/// vgpu::VirtualDevice its kernels launch on, with one host worker per
+/// hardware thread; the CPU personalities run serially on the caller.
+ErrorOr<std::unique_ptr<Simulator>> createSimulator(const std::string &Name,
+                                                    const CostModel &Model);
 
 } // namespace psg
 

@@ -164,8 +164,8 @@ BatchResult CpuSolverSimulator::run(const BatchSpec &Spec) {
 // Coarse-grained GPU (cupSODA-like).
 //===----------------------------------------------------------------------===//
 
-CoarseGpuSimulator::CoarseGpuSimulator(CostModel M, unsigned HostWorkers)
-    : Model(std::move(M)), Device(Model.gpu(), HostWorkers) {}
+CoarseGpuSimulator::CoarseGpuSimulator(CostModel M)
+    : Model(std::move(M)), Device(Model.gpu()) {}
 
 BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
@@ -195,8 +195,8 @@ BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
 // Fine-grained GPU (LASSIE-like).
 //===----------------------------------------------------------------------===//
 
-FineGpuSimulator::FineGpuSimulator(CostModel M, unsigned HostWorkers)
-    : Model(std::move(M)), Device(Model.gpu(), HostWorkers) {}
+FineGpuSimulator::FineGpuSimulator(CostModel M)
+    : Model(std::move(M)), Device(Model.gpu()) {}
 
 BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
@@ -239,8 +239,8 @@ BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
 // Fine+coarse engine (the paper's contribution).
 //===----------------------------------------------------------------------===//
 
-FineCoarseSimulator::FineCoarseSimulator(CostModel M, unsigned HostWorkers)
-    : Model(std::move(M)), Device(Model.gpu(), HostWorkers) {}
+FineCoarseSimulator::FineCoarseSimulator(CostModel M)
+    : Model(std::move(M)), Device(Model.gpu()) {}
 
 BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
@@ -315,26 +315,23 @@ BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-std::unique_ptr<Simulator> makeCpuLsoda(const CostModel &Model, unsigned) {
+std::unique_ptr<Simulator> makeCpuLsoda(const CostModel &Model) {
   return std::make_unique<CpuSolverSimulator>("lsoda", "cpu-lsoda", Model);
 }
 
-std::unique_ptr<Simulator> makeCpuVode(const CostModel &Model, unsigned) {
+std::unique_ptr<Simulator> makeCpuVode(const CostModel &Model) {
   return std::make_unique<CpuSolverSimulator>("vode", "cpu-vode", Model);
 }
 
 template <typename GpuSimulator>
-std::unique_ptr<Simulator> makeGpu(const CostModel &Model,
-                                   unsigned HostWorkers) {
-  return std::make_unique<GpuSimulator>(Model, HostWorkers);
+std::unique_ptr<Simulator> makeGpu(const CostModel &Model) {
+  return std::make_unique<GpuSimulator>(Model);
 }
 
-/// One personality: its name and how to construct it. HostWorkers caps a
-/// GPU personality's host pool; the CPU personalities ignore it.
+/// One personality: its name and how to construct it.
 struct Personality {
   const char *Name;
-  std::unique_ptr<Simulator> (*Make)(const CostModel &Model,
-                                     unsigned HostWorkers);
+  std::unique_ptr<Simulator> (*Make)(const CostModel &Model);
 };
 
 /// Every personality, in the order of the evaluation's comparison maps:
@@ -384,9 +381,8 @@ psg::createAllSimulators(const CostModel &Model) {
 }
 
 ErrorOr<std::unique_ptr<Simulator>>
-psg::createSimulator(const std::string &Name, const CostModel &Model,
-                     unsigned HostWorkers) {
+psg::createSimulator(const std::string &Name, const CostModel &Model) {
   if (const Personality *P = findPersonality(Name))
-    return P->Make(Model, HostWorkers);
+    return P->Make(Model);
   return checkSimulatorName(Name);
 }

@@ -51,7 +51,7 @@ private:
 /// cupSODA-like: one virtual GPU thread per simulation, LSODA numerics.
 class CoarseGpuSimulator : public Simulator {
 public:
-  explicit CoarseGpuSimulator(CostModel Model, unsigned HostWorkers = 0);
+  explicit CoarseGpuSimulator(CostModel Model);
 
   std::string name() const override { return "gpu-coarse"; }
   Backend backend() const override { return Backend::GpuCoarse; }
@@ -67,7 +67,7 @@ private:
 /// BDF fallback on stiffness.
 class FineGpuSimulator : public Simulator {
 public:
-  explicit FineGpuSimulator(CostModel Model, unsigned HostWorkers = 0);
+  explicit FineGpuSimulator(CostModel Model);
 
   std::string name() const override { return "gpu-fine"; }
   Backend backend() const override { return Backend::GpuFine; }
@@ -84,7 +84,7 @@ private:
 /// re-dispatch of failed explicit runs, P5 collection).
 class FineCoarseSimulator : public Simulator {
 public:
-  explicit FineCoarseSimulator(CostModel Model, unsigned HostWorkers = 0);
+  explicit FineCoarseSimulator(CostModel Model);
 
   std::string name() const override { return "psg-engine"; }
   Backend backend() const override { return Backend::GpuFineCoarse; }

@@ -211,8 +211,7 @@ TEST(BatchEngineTest, OutcomeOrderMatchesPointOrder) {
 }
 
 TEST(BatchEngineTest, EmptyRunsReturnEmptyReports) {
-  // No points and no parameterizations are a valid, empty run on the
-  // single-device path and the sharded one.
+  // No points and no parameterizations are a valid, empty run.
   ReactionNetwork Net = makeDecayChainNetwork(4, 1.0);
   ParameterSpace Space(Net);
   Space.addAxis(initialAxis(Net, "S0", 0.5, 2.0));
@@ -221,22 +220,18 @@ TEST(BatchEngineTest, EmptyRunsReturnEmptyReports) {
     EXPECT_EQ(Report.SubBatches, 0u) << Row;
     EXPECT_EQ(Report.Failures, 0u) << Row;
   };
-  for (unsigned Devices : {0u, 2u}) {
-    EngineOptions Opts;
-    Opts.SimulatorName = "psg-engine";
-    Opts.EndTime = 1.0;
-    Opts.Sched.Devices.assign(Devices, "psg-engine");
-    BatchEngine Engine(CostModel::paperSetup(), Opts);
-    const std::string Row = std::to_string(Devices) + " devices";
-    expectEmpty(Engine.run(Space, {}), Row + ", points");
-    expectEmpty(Engine.runParameterizations(Net, {}), Row + ", params");
-  }
+  EngineOptions Opts;
+  Opts.SimulatorName = "psg-engine";
+  Opts.EndTime = 1.0;
+  BatchEngine Engine(CostModel::paperSetup(), Opts);
+  expectEmpty(Engine.run(Space, {}), "points");
+  expectEmpty(Engine.runParameterizations(Net, {}), "params");
 }
 
 TEST(BatchEngineTest, InvalidWindowFailsWithoutIntegrating) {
   // A window the simulators cannot integrate fails every simulation with
   // status Aborted before any probe, step or reroute, on every
-  // personality and on the sharded path.
+  // personality.
   ReactionNetwork Net = makeBrusselatorNetwork();
   struct Window {
     const char *Name;
@@ -248,17 +243,11 @@ TEST(BatchEngineTest, InvalidWindowFailsWithoutIntegrating) {
       {"NaN end", 0.0, std::nan(""), 0},
       {"one sample", 0.0, 1.0, 1},
   };
-  std::vector<std::vector<std::string>> Paths;
-  for (const std::string &Name : simulatorNames())
-    Paths.push_back({Name});
-  Paths.push_back({"psg-engine", "psg-engine"});
   Counter &Reroutes = metrics().counter("psg.engine.stiffness_reroutes");
   for (const Window &W : Rows)
-    for (const std::vector<std::string> &Devices : Paths) {
+    for (const std::string &Name : simulatorNames()) {
       EngineOptions Opts;
-      Opts.SimulatorName = Devices.front();
-      if (Devices.size() > 1)
-        Opts.Sched.Devices = Devices;
+      Opts.SimulatorName = Name;
       Opts.StartTime = W.StartTime;
       Opts.EndTime = W.EndTime;
       Opts.OutputSamples = W.OutputSamples;
@@ -269,9 +258,7 @@ TEST(BatchEngineTest, InvalidWindowFailsWithoutIntegrating) {
         for (size_t R = 0; R < Net.numReactions(); ++R)
           P.RateConstants.push_back(Net.reaction(R).RateConstant);
       }
-      const std::string Row = std::string(W.Name) + " on " +
-                              std::to_string(Devices.size()) + "x " +
-                              Devices.front();
+      const std::string Row = std::string(W.Name) + " on " + Name;
       const uint64_t ReroutesBefore = Reroutes.value();
       const EngineReport Report =
           Engine.runParameterizations(Net, std::move(Params));

@@ -3,9 +3,10 @@
 // Part of psg, under the BSD 3-Clause License.
 //
 // The streaming contract: stream() is bit-exact with the materializing
-// run() for every simulator personality and every in-flight depth, lazy
-// generators emit bit-identical sequences to their materializing
-// counterparts, and engine residency stays bounded by
+// run() for every simulator personality and every in-flight depth, the
+// outcome bits do not depend on where the stream is cut into
+// sub-batches, lazy generators emit bit-identical sequences to their
+// materializing counterparts, and engine residency stays bounded by
 // InFlight * SubBatchSize no matter how large the sweep is.
 //
 //===----------------------------------------------------------------------===//
@@ -16,8 +17,11 @@
 #include "sim/Oracle.h"
 
 #include "rbm/CuratedModels.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 using namespace psg;
 
@@ -66,6 +70,21 @@ public:
   void consumeSubBatch(size_t,
                        std::vector<SimulationOutcome> &Batch) override {
     Count += Batch.size();
+  }
+};
+
+/// Folds every streamed sub-batch into one running outcome digest,
+/// checking sub-batches arrive in order.
+class DigestSink final : public OutcomeSink {
+public:
+  uint64_t Digest = EmptyOutcomeDigest;
+  size_t Count = 0;
+
+  void consumeSubBatch(size_t FirstIndex,
+                       std::vector<SimulationOutcome> &Batch) override {
+    EXPECT_EQ(FirstIndex, Count);
+    Count += Batch.size();
+    Digest = outcomeDigest(Batch, Digest);
   }
 };
 
@@ -242,6 +261,61 @@ TEST(StreamEngineTest, StreamIsBitExactWithRunAcrossPersonalities) {
       }
     }
   }
+}
+
+TEST(StreamEngineTest, OutcomeBitsIgnoreSubBatchCuts) {
+  // Neither where the stream is cut into sub-batches nor how many are
+  // staged at once may change an outcome bit: the sweep's folded digest
+  // is the same for every cut. Robertson probes non-stiff at t0 and
+  // turns stiff, so psg-engine reroutes it from DOPRI5 to RADAU5
+  // (P3 -> P4); cpu-vode fails it on the step budget, which is pinned
+  // the same way.
+  struct Sweep {
+    const char *Model;
+    ReactionNetwork Net;
+    double Lo, Hi, EndTime;
+  };
+  const Sweep Sweeps[] = {
+      {"brusselator", makeBrusselatorNetwork(), 0.5, 3.0, 2.0},
+      {"robertson", makeRobertsonNetwork(), 0.02, 0.08, 10.0}};
+  const size_t Points = 20;
+  Counter &Reroutes = metrics().counter("psg.engine.stiffness_reroutes");
+  uint64_t EngineReroutes = 0;
+
+  for (const Sweep &S : Sweeps) {
+    ParameterSpace Space(S.Net);
+    Space.addAxis(rateAxis(0, S.Lo, S.Hi));
+    for (const std::string &Sim : simulatorNames()) {
+      std::optional<uint64_t> Expected;
+      for (uint64_t SubBatch : {1u, 7u, 512u})
+        for (uint64_t InFlight : {1u, 2u}) {
+          EngineOptions Opts;
+          Opts.SimulatorName = Sim;
+          Opts.SubBatchSize = SubBatch;
+          Opts.InFlight = InFlight;
+          Opts.EndTime = S.EndTime;
+          Opts.OutputSamples = 5;
+          BatchEngine Engine(CostModel::paperSetup(), Opts);
+          auto Gen = makeGridGenerator(Space, {Points});
+          DigestSink Sink;
+          const uint64_t ReroutesBefore = Reroutes.value();
+          const StreamReport Report = Engine.stream(Space, *Gen, Sink);
+          if (Sim == "psg-engine")
+            EngineReroutes += Reroutes.value() - ReroutesBefore;
+
+          const std::string Row = Sim + " on " + S.Model + ", sub-batch " +
+                                  std::to_string(SubBatch) + ", in-flight " +
+                                  std::to_string(InFlight);
+          EXPECT_EQ(Sink.Count, Points) << Row;
+          EXPECT_EQ(Report.SubBatches, (Points + SubBatch - 1) / SubBatch)
+              << Row;
+          if (!Expected)
+            Expected = Sink.Digest;
+          EXPECT_EQ(Sink.Digest, *Expected) << Row;
+        }
+    }
+  }
+  EXPECT_GT(EngineReroutes, 0u);
 }
 
 TEST(StreamEngineTest, RunMatchesStreamAggregates) {

@@ -370,6 +370,12 @@ TEST(CliOptionsTest, UnknownFlagIsRejected) {
   // A flag of another command is unknown too.
   EXPECT_EQ(parseError({"--inflight", "1"}, cliCommandFlags("simulate")),
             "unknown option --inflight");
+  // So are the flags of the deleted multi-device scheduler.
+  for (const char *Command : {"simulate", "psa1d"})
+    for (const char *Flag : {"--devices", "--shard-chunk"})
+      EXPECT_EQ(parseError({"m.txt", Flag, "4"}, cliCommandFlags(Command)),
+                std::string("unknown option ") + Flag)
+          << Command;
   EXPECT_EQ(cliCommandFlags("bogus"), nullptr);
   EXPECT_EQ(checkCommandFlags("bogus"), nullptr);
 }
@@ -431,6 +437,27 @@ TEST(CliOptionsTest, DurationsAndTimeoutsMustBePositive) {
               "")
         << Command;
   }
+}
+
+TEST(CliOptionsTest, CountsMustBeAboveZero) {
+  // Every psg-cli flag that sizes a run is a :count: 0 is a user error,
+  // never a value the engine silently replaces.
+  const std::pair<const char *, const char *> Counts[] = {
+      {"simulate", "batch"},
+      {"psa1d", "points inflight sub-batch"},
+      {"generate", "species reactions"}};
+  for (const auto &[Command, Flags] : Counts)
+    for (const std::string &Flag : splitWhitespace(Flags)) {
+      const std::string Arg = "--" + Flag;
+      EXPECT_EQ(parseError({"m.txt", Arg.c_str(), "0"},
+                           cliCommandFlags(Command)),
+                Arg + " needs an integer above 0, got '0'")
+          << Command;
+      EXPECT_EQ(parseError({"m.txt", Arg.c_str(), "1"},
+                           cliCommandFlags(Command)),
+                "")
+          << Command;
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -119,11 +119,11 @@ inline const char *cliCommandFlags(const std::string &Command) {
     return "";
   if (Command == "simulate")
     return "tend:pos samples:uint batch:count perturb:switch seed:uint "
-           "simulator out devices shard-chunk:uint";
+           "simulator out";
   if (Command == "psa1d")
     return "species reaction:uint lo:real hi:real log:switch points:count "
            "reporter simulator tend:pos samples:uint out stream:switch "
-           "inflight:uint sub-batch:uint devices shard-chunk:uint";
+           "inflight:count sub-batch:count";
   if (Command == "steady")
     return "maxtime:pos timescale:pos";
   if (Command == "generate")

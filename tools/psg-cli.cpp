@@ -105,61 +105,6 @@ void saveModelOrDie(const ReactionNetwork &Net, const std::string &Path) {
     fatalError("cannot save model '" + Path + "': " + S.message());
 }
 
-/// Parses the multi-device flags shared by simulate and psa1d:
-/// --devices takes either a count (that many copies of --simulator) or a
-/// comma-separated personality list ("gpu-coarse,gpu-coarse,psg-engine"),
-/// and --shard-chunk overrides the base shard size. Fails when
-/// Opts.SimulatorName or a listed device is not a known personality.
-Status applySchedOptions(const Options &O, EngineOptions &Opts) {
-  if (Status S = checkSimulatorName(Opts.SimulatorName); !S)
-    return S;
-  if (O.has("devices")) {
-    const std::string Spec = O.get("devices", "");
-    unsigned Count = 0;
-    if (parseUnsigned(Spec, Count)) {
-      if (Count == 0)
-        return Status::failure("--devices must be at least 1");
-      Opts.Sched.Devices.assign(Count, Opts.SimulatorName);
-    } else {
-      for (const std::string &Name : split(Spec, ','))
-        if (!Name.empty())
-          Opts.Sched.Devices.push_back(Name);
-    }
-    if (Opts.Sched.Devices.empty())
-      return Status::failure(
-          "--devices needs a device count or a comma-separated "
-          "personality list");
-    for (const std::string &Name : Opts.Sched.Devices)
-      if (Status S = checkSimulatorName(Name); !S)
-        return S;
-  }
-  if (O.has("shard-chunk"))
-    Opts.Sched.ChunkSize = O.getUnsigned("shard-chunk", 0);
-  return Status::success();
-}
-
-/// Prints the scheduler telemetry of a sharded run from the frozen
-/// metrics snapshot.
-void printSchedTelemetry(const MetricsSnapshot &M,
-                         const std::vector<std::string> &Devices) {
-  std::printf("sched:              %llu shards over %zu devices, %llu "
-              "steals, %llu requeues\n",
-              (unsigned long long)M.counterValue("psg.sched.shards"),
-              Devices.size(),
-              (unsigned long long)M.counterValue("psg.sched.steals"),
-              (unsigned long long)M.counterValue("psg.sched.requeues"));
-  std::printf("sched balance:      modeled makespan %.4g s, imbalance "
-              "%.3f, mean utilization %.3f\n",
-              M.gaugeValue("psg.sched.modeled_makespan_s"),
-              M.gaugeValue("psg.sched.shard_imbalance"),
-              M.gaugeValue("psg.sched.device_utilization"));
-  for (size_t D = 0; D < Devices.size(); ++D)
-    std::printf("  device %zu (%s): utilization %.3f\n", D,
-                Devices[D].c_str(),
-                M.gaugeValue(formatString(
-                    "psg.sched.device.%u.utilization", (unsigned)D)));
-}
-
 /// "N failed", followed when N > 0 by the count of each failure status,
 /// e.g. "4 failed: 4 max-steps-exceeded".
 std::string failureSummary(const std::vector<SimulationOutcome> &Outcomes) {
@@ -180,6 +125,15 @@ std::string failureSummary(const std::vector<SimulationOutcome> &Outcomes) {
   return Summary;
 }
 
+/// psa1d's summary line. The final-value reducer maps a failed
+/// simulation to 0.0, so the map alone would show it as a real value;
+/// the failure count says which reading applies.
+void printPsaSummary(const StreamReport &Report) {
+  std::printf("\n%zu simulations (%zu failed), modeled %.4g s\n",
+              Report.Simulations, Report.Failures,
+              Report.SimulationTime.total());
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -191,15 +145,15 @@ int usage() {
       "      and the initial-Jacobian stiffness estimate\n"
       "  simulate <model> [--tend T] [--samples K] [--batch B]\n"
       "           [--perturb] [--seed S] [--simulator NAME] [--out F.csv]\n"
-      "           [--devices N|LIST] [--shard-chunk C]\n"
       "      run a (optionally perturbed) batch; writes the first\n"
-      "      trajectory as CSV and prints the engine report\n"
+      "      trajectory as CSV and prints the engine report; exits 1\n"
+      "      when a simulation failed\n"
       "  psa1d <model> --species NAME | --reaction IDX\n"
       "        --lo X --hi Y [--log] [--points P]\n"
       "        [--reporter NAME] [--tend T] [--out F.csv]\n"
       "        [--stream] [--inflight N] [--sub-batch B]\n"
-      "        [--devices N|LIST] [--shard-chunk C]\n"
-      "      sweep one parameter; reports the reporter's final value.\n"
+      "      sweep one parameter; reports the reporter's final value\n"
+      "      (0 for a failed simulation) and exits 1 when any failed.\n"
       "      --stream drives the bounded-memory pipeline explicitly:\n"
       "      points are generated lazily, each sub-batch is reduced\n"
       "      (and, with --out, appended to the CSV) as it finishes,\n"
@@ -211,14 +165,6 @@ int usage() {
       "      emit a synthetic mass-action model\n"
       "  convert <in> <out>\n"
       "      convert between the text format and the SBML subset\n"
-      "\n"
-      "multi-device sharding (simulate, psa1d):\n"
-      "  --devices N             shard the sweep across N logical devices\n"
-      "                          running --simulator each\n"
-      "  --devices a,b,...       ... or across the listed personalities\n"
-      "                          (one logical device per entry)\n"
-      "  --shard-chunk C         base shard size in simulations\n"
-      "                          (default: the sub-batch size)\n"
       "\n"
       "global options (any command; every other flag must belong to\n"
       "the command, or psg-cli exits 2):\n"
@@ -300,7 +246,7 @@ int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
   Opts.OutputSamples = O.getUnsigned("samples", 101);
   if (Opts.OutputSamples == 1)
     return cliError("--samples needs 0 or at least 2 (both endpoints)");
-  if (Status S = applySchedOptions(O, Opts); !S)
+  if (Status S = checkSimulatorName(Opts.SimulatorName); !S)
     return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
@@ -328,8 +274,6 @@ int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
               Report.SimulationTime.total(),
               Report.IntegrationTime.total(), Opts.SimulatorName.c_str());
   std::printf("host wall time:     %.4g s\n", Report.HostWallSeconds);
-  if (Opts.Sched.enabled())
-    printSchedTelemetry(Report.Metrics, Opts.Sched.Devices);
 
   const std::string Out = O.get("out", "trajectory.csv");
   CsvWriter Csv = trajectoryToCsv(Report.Outcomes[0].Dynamics, &Net);
@@ -387,7 +331,7 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
   Opts.InFlight = O.getUnsigned("inflight", 2);
   if (O.has("sub-batch"))
     Opts.SubBatchSize = O.getUnsigned("sub-batch", 64);
-  if (Status S = applySchedOptions(O, Opts); !S)
+  if (Status S = checkSimulatorName(Opts.SimulatorName); !S)
     return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
@@ -422,15 +366,12 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
                 Net.species(Reporter).Name.c_str());
     for (size_t I = 0; I < AxisValues.size(); ++I)
       std::printf("%14.6g %14.6g\n", AxisValues[I], Metric[I]);
-    std::printf("\n%zu simulations, modeled %.4g s\n", Report.Simulations,
-                Report.SimulationTime.total());
+    printPsaSummary(Report);
     std::printf("pipeline:           %llu sub-batches, %zu outcomes peak "
                 "resident, overlap ratio %.3f\n",
                 (unsigned long long)Report.SubBatches,
                 Report.PeakResidentOutcomes, Report.OverlapRatio);
-    if (Opts.Sched.enabled())
-      printSchedTelemetry(Report.Metrics, Opts.Sched.Devices);
-    return 0;
+    return Report.Failures == 0 ? 0 : 1;
   }
 
   Psa1dResult R = runPsa1d(Engine, Space, Points, Reduce);
@@ -439,10 +380,7 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
               Net.species(Reporter).Name.c_str());
   for (size_t I = 0; I < R.AxisValues.size(); ++I)
     std::printf("%14.6g %14.6g\n", R.AxisValues[I], R.Metric[I]);
-  std::printf("\n%zu simulations, modeled %.4g s\n", R.Report.Simulations,
-              R.Report.SimulationTime.total());
-  if (Opts.Sched.enabled())
-    printSchedTelemetry(R.Report.Metrics, Opts.Sched.Devices);
+  printPsaSummary(R.Report);
 
   if (O.has("out")) {
     CsvWriter Csv({Axis.Name, "final_value"});
@@ -451,7 +389,7 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
     if (Status S = Csv.saveToFile(O.get("out", "")); !S)
       fatalError(S.message());
   }
-  return 0;
+  return R.Report.Failures == 0 ? 0 : 1;
 }
 
 int cmdSteady(const Options &O, const ReactionNetwork &Net) {
