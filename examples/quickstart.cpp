@@ -61,7 +61,7 @@ int main() {
   std::printf("modeled GPU time: %.3f ms integration, %.3f ms simulation\n",
               1e3 * Report.IntegrationTime.total(),
               1e3 * Report.SimulationTime.total());
-  std::printf("host wall time:   %.3f ms (virtual device, %s)\n",
+  std::printf("host wall time:   %.3f ms (host pool, %s)\n",
               1e3 * Report.HostWallSeconds, "real numerics");
 
   // 4. Results: print the first trajectory's X column, and save the full

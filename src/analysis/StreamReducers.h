@@ -54,24 +54,6 @@ private:
   Callback Fn;
 };
 
-/// Fans one stream out to two sinks, in order (e.g. an in-memory reducer
-/// plus an incremental CSV writer). Neither sink may move outcomes out.
-class TeeSink : public OutcomeSink {
-public:
-  TeeSink(OutcomeSink &First, OutcomeSink &Second)
-      : First(First), Second(Second) {}
-
-  void consumeSubBatch(size_t FirstIndex,
-                       std::vector<SimulationOutcome> &Outcomes) override {
-    First.consumeSubBatch(FirstIndex, Outcomes);
-    Second.consumeSubBatch(FirstIndex, Outcomes);
-  }
-
-private:
-  OutcomeSink &First;
-  OutcomeSink &Second;
-};
-
 } // namespace psg
 
 #endif // PSG_ANALYSIS_STREAMREDUCERS_H

@@ -12,7 +12,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <deque>
+#include <optional>
 
 using namespace psg;
 
@@ -116,37 +116,31 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
   std::shared_ptr<const CompiledModel> Compiled = compiled(Net);
 
   const uint64_t SubBatch = Opts.SubBatchSize ? Opts.SubBatchSize : 512;
-  const uint64_t InFlight = Opts.InFlight ? Opts.InFlight : 1;
 
-  /// One staged sub-batch: parameterizations assembled, not dispatched.
+  /// One prepared sub-batch: parameterizations assembled, not dispatched.
   struct PreparedBatch {
     BatchSpec Spec;
     size_t First = 0;
+    double PrepareSeconds = 0.0; ///< Host wall time spent preparing it.
   };
-  std::deque<PreparedBatch> Staged;
   size_t NextIndex = 0;
-  // Engine-resident simulations: staged parameterizations plus the
+  // Engine-resident simulations: the prepared parameterizations plus the
   // outcomes of the sub-batch currently integrating or being consumed.
   size_t Resident = 0;
-  bool SourceDry = false;
   // Recycled outcome storage, threaded to the simulator through
   // Spec.OutcomeBuffer so the outer vector is allocated once per run.
   std::vector<SimulationOutcome> Recycled;
 
-  // Pulls and stages the next sub-batch; returns its host prepare
-  // seconds, or a negative value when the source is exhausted.
-  auto prepareNext = [&]() -> double {
-    if (SourceDry)
-      return -1.0;
+  // Pulls and prepares the next sub-batch; empty when the source is
+  // exhausted.
+  auto prepareNext = [&]() -> std::optional<PreparedBatch> {
     TraceSpan GenerateSpan("engine.stream.generate", "engine");
     WallTimer PrepareTimer;
     std::vector<Parameterization> Params;
     Params.reserve(SubBatch);
     const size_t Count = Source(SubBatch, Params);
-    if (Count == 0) {
-      SourceDry = true;
-      return -1.0;
-    }
+    if (Count == 0)
+      return std::nullopt;
     PreparedBatch P;
     P.First = NextIndex;
     P.Spec.Model = &Net;
@@ -166,20 +160,18 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
     Resident += Count;
     Report.PeakResidentOutcomes =
         std::max(Report.PeakResidentOutcomes, Resident);
-    Staged.push_back(std::move(P));
-    const double Seconds = PrepareTimer.seconds();
-    PrepareSeconds.record(Seconds);
-    Report.PrepareWallSeconds += Seconds;
-    return Seconds;
+    P.PrepareSeconds = PrepareTimer.seconds();
+    PrepareSeconds.record(P.PrepareSeconds);
+    Report.PrepareWallSeconds += P.PrepareSeconds;
+    return P;
   };
 
   // The first sub-batch has no device execution to hide beneath, so its
   // preparation is always exposed.
-  prepareNext();
+  std::optional<PreparedBatch> Next = prepareNext();
 
-  while (!Staged.empty()) {
-    PreparedBatch P = std::move(Staged.front());
-    Staged.pop_front();
+  while (Next) {
+    PreparedBatch P = std::move(*Next);
     P.Spec.OutcomeBuffer = &Recycled;
     const uint64_t Count = P.Spec.Batch;
 
@@ -193,16 +185,11 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
       SubBatchSpan.setModeledSeconds(Result.SimulationTime.total());
     }
 
-    // Overlap phase: build the following sub-batches up to the in-flight
-    // window; the cost model bounds how much of this host time a second
+    // Overlap phase: double-buffering prepares the following sub-batch
+    // now; the cost model bounds how much of this host time a second
     // stream would have hidden beneath the sub-batch's device execution.
-    double PreparedDuring = 0.0;
-    while (Staged.size() + 1 < InFlight) {
-      const double Seconds = prepareNext();
-      if (Seconds < 0.0)
-        break;
-      PreparedDuring += Seconds;
-    }
+    Next = prepareNext();
+    const double PreparedDuring = Next ? Next->PrepareSeconds : 0.0;
     SubBatchCount.add();
     Simulations.add(Count);
     FailureCount.add(Result.Failures);
@@ -238,11 +225,6 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
     ++Report.SubBatches;
     accumulateModeled(Report.IntegrationTime, Result.IntegrationTime);
     accumulateModeled(Report.SimulationTime, Result.SimulationTime);
-
-    // With InFlight == 1 the window above never stages ahead, so the
-    // next sub-batch is prepared only now — fully exposed.
-    if (Staged.empty())
-      prepareNext();
   }
 
   Report.OverlapRatio =

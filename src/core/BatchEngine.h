@@ -13,9 +13,9 @@
 ///
 /// Execution is a streaming pipeline with bounded residency: a
 /// PointGenerator (or parameterization source) produces sub-batch-sized
-/// chunks on demand, up to EngineOptions::InFlight sub-batches are
-/// staged at once (double-buffering that emulates GPU stream overlap in
-/// the timing model), and each integrated sub-batch is handed to an
+/// chunks on demand, the next sub-batch is prepared while the current one
+/// integrates (double-buffering that emulates GPU stream overlap in the
+/// timing model), and each integrated sub-batch is handed to an
 /// OutcomeSink before its trajectory storage is released. The
 /// materializing run() entry points are sinks over the same pipeline, so
 /// both paths are bit-identical.
@@ -40,13 +40,11 @@ struct EngineOptions {
   /// Simulator personality ("psg-engine", "cpu-lsoda", ...).
   std::string SimulatorName = "psg-engine";
   /// Sub-batch size; 512 maximizes modeled throughput on the Titan X.
+  /// Streaming runs double-buffer: sub-batch N+1's host-side preparation
+  /// is modeled as overlapped with sub-batch N's device execution
+  /// (CostModel::hiddenPrepareSeconds), so engine-resident simulations
+  /// are bounded by 2 * SubBatchSize.
   uint64_t SubBatchSize = 512;
-  /// Sub-batches in flight in streaming runs. 1 serializes generation
-  /// and integration; 2 (the default) double-buffers, so sub-batch N+1's
-  /// host-side preparation is modeled as overlapped with sub-batch N's
-  /// device execution (CostModel::hiddenPrepareSeconds). Engine-resident
-  /// simulations are bounded by InFlight * SubBatchSize.
-  uint64_t InFlight = 2;
   /// Trajectory samples per simulation (0 = endpoints only, no record).
   size_t OutputSamples = 0;
   /// Integration window.
@@ -80,7 +78,7 @@ using ParameterizationSource =
 
 /// Aggregated outcome of a streaming run. Unlike EngineReport it carries
 /// no outcomes: the sink consumed each sub-batch as it finished, so at
-/// no point were more than InFlight * SubBatchSize simulations resident.
+/// no point were more than 2 * SubBatchSize simulations resident.
 struct StreamReport {
   size_t Simulations = 0; ///< Total simulations streamed, in order.
   IntegrationStats TotalStats;
@@ -89,8 +87,8 @@ struct StreamReport {
   double HostWallSeconds = 0.0;
   size_t Failures = 0;
   uint64_t SubBatches = 0;
-  /// Peak engine-resident simulations (staged parameterizations plus
-  /// live outcomes); <= InFlight * SubBatchSize by construction. Also
+  /// Peak engine-resident simulations (prepared parameterizations plus
+  /// live outcomes); <= 2 * SubBatchSize by construction. Also
   /// exported as the gauge `psg.engine.peak_resident_outcomes`.
   size_t PeakResidentOutcomes = 0;
   /// Host-side sub-batch preparation wall time (generation, point
@@ -99,7 +97,8 @@ struct StreamReport {
   /// (CostModel::hiddenPrepareSeconds).
   double PrepareWallSeconds = 0.0;
   double HiddenPrepareSeconds = 0.0;
-  /// HiddenPrepareSeconds / PrepareWallSeconds; 0 when InFlight == 1.
+  /// HiddenPrepareSeconds / PrepareWallSeconds; 0 for a run of one
+  /// sub-batch, whose preparation nothing hides.
   /// Also exported as the gauge `psg.engine.pipeline.overlap_ratio`.
   double OverlapRatio = 0.0;
   /// Frozen process-wide metrics taken when the run finished.
@@ -122,7 +121,7 @@ struct EngineReport {
   size_t Failures = 0;
   uint64_t SubBatches = 0;
   /// Frozen process-wide metrics taken when the run finished: solver
-  /// step counters, per-sub-batch timings, vgpu launch counts, pool
+  /// step counters, per-sub-batch timings, host pool jobs and
   /// utilization. Serialized by io/ResultsIo and `psg-cli
   /// --metrics-json`.
   MetricsSnapshot Metrics;
@@ -143,10 +142,10 @@ public:
   Simulator &simulator() { return *Sim; }
 
   /// Streams \p Gen through the simulator: chunks of points are pulled
-  /// and parameterized on demand, at most InFlight sub-batches are
-  /// staged, and every integrated sub-batch is handed to \p Sink before
-  /// its trajectory storage is released. An empty source yields an empty
-  /// report: no sub-batches, no outcomes.
+  /// and parameterized on demand, the next sub-batch is prepared while
+  /// the current one integrates, and every integrated sub-batch is handed
+  /// to \p Sink before its trajectory storage is released. An empty
+  /// source yields an empty report: no sub-batches, no outcomes.
   StreamReport stream(const ParameterSpace &Space, PointGenerator &Gen,
                       OutcomeSink &Sink);
 

@@ -51,138 +51,6 @@ CsvWriter psg::sobolToCsv(const SobolResult &Result) {
   return Csv;
 }
 
-CsvWriter psg::engineReportToCsv(const EngineReport &Report) {
-  CsvWriter Csv({"simulations", "failures", "sub_batches", "steps",
-                 "rhs_evaluations", "modeled_integration_s",
-                 "modeled_simulation_s", "host_wall_s"});
-  Csv.addRow({formatString("%zu", Report.Outcomes.size()),
-              formatString("%zu", Report.Failures),
-              formatString("%llu", (unsigned long long)Report.SubBatches),
-              formatString("%llu", (unsigned long long)Report.TotalStats.Steps),
-              formatString("%llu",
-                           (unsigned long long)Report.TotalStats.RhsEvaluations),
-              formatString("%.6g", Report.IntegrationTime.total()),
-              formatString("%.6g", Report.SimulationTime.total()),
-              formatString("%.6g", Report.HostWallSeconds)});
-  return Csv;
-}
-
-CsvWriter psg::streamReportToCsv(const StreamReport &Report) {
-  CsvWriter Csv({"simulations", "failures", "sub_batches", "steps",
-                 "rhs_evaluations", "modeled_integration_s",
-                 "modeled_simulation_s", "host_wall_s",
-                 "peak_resident_outcomes", "overlap_ratio"});
-  Csv.addRow({formatString("%zu", Report.Simulations),
-              formatString("%zu", Report.Failures),
-              formatString("%llu", (unsigned long long)Report.SubBatches),
-              formatString("%llu", (unsigned long long)Report.TotalStats.Steps),
-              formatString("%llu",
-                           (unsigned long long)Report.TotalStats.RhsEvaluations),
-              formatString("%.6g", Report.IntegrationTime.total()),
-              formatString("%.6g", Report.SimulationTime.total()),
-              formatString("%.6g", Report.HostWallSeconds),
-              formatString("%zu", Report.PeakResidentOutcomes),
-              formatString("%.6g", Report.OverlapRatio)});
-  return Csv;
-}
-
-StreamingCsvWriter::~StreamingCsvWriter() {
-  if (File)
-    std::fclose(File);
-}
-
-Status StreamingCsvWriter::open(const std::string &Path,
-                                const std::vector<std::string> &Header) {
-  assert(!File && "writer already open");
-  assert(!Header.empty() && "CSV needs at least one column");
-  File = std::fopen(Path.c_str(), "w");
-  if (!File)
-    return Status::failure("cannot open '" + Path + "' for writing");
-  Columns = Header.size();
-  Rows = 0;
-  appendRow(Header);
-  Rows = 0; // The header is not a data row.
-  return Status::success();
-}
-
-void StreamingCsvWriter::appendRow(const std::vector<std::string> &Cells) {
-  assert(File && "writer not open");
-  assert(Cells.size() == Columns && "row width mismatch");
-  std::string Line;
-  for (size_t I = 0; I < Cells.size(); ++I) {
-    if (I > 0)
-      Line += ',';
-    Line += csvEscape(Cells[I]);
-  }
-  Line += '\n';
-  std::fwrite(Line.data(), 1, Line.size(), File);
-  ++Rows;
-}
-
-void StreamingCsvWriter::appendRow(const std::vector<double> &Cells) {
-  std::vector<std::string> Formatted;
-  Formatted.reserve(Cells.size());
-  for (double Value : Cells)
-    Formatted.push_back(formatString("%.10g", Value));
-  appendRow(Formatted);
-}
-
-Status StreamingCsvWriter::close() {
-  assert(File && "writer not open");
-  const bool ShortWrite = std::ferror(File) != 0;
-  const bool CloseFailed = std::fclose(File) != 0;
-  File = nullptr;
-  if (ShortWrite || CloseFailed)
-    return Status::failure("short write to streaming CSV");
-  return Status::success();
-}
-
-GridMapCsvSink::GridMapCsvSink(StreamingCsvWriter &Writer,
-                               const ParameterSpace &Space,
-                               std::vector<size_t> PointsPerAxis,
-                               TrajectoryReducer Reduce)
-    : Writer(Writer), Reduce(std::move(Reduce)) {
-  assert(PointsPerAxis.size() == Space.numAxes() &&
-         "one resolution per axis");
-  AxisValues.reserve(PointsPerAxis.size());
-  for (size_t Axis = 0; Axis < PointsPerAxis.size(); ++Axis)
-    AxisValues.push_back(Space.gridAxisValues(Axis, PointsPerAxis[Axis]));
-}
-
-void GridMapCsvSink::consumeSubBatch(size_t FirstIndex,
-                                     std::vector<SimulationOutcome> &Outcomes) {
-  std::vector<double> Row(AxisValues.size() + 1);
-  for (size_t I = 0; I < Outcomes.size(); ++I) {
-    // Decompose the global index row-major, last axis fastest, mirroring
-    // GridGenerator's emission order.
-    size_t Rest = FirstIndex + I;
-    for (size_t Axis = AxisValues.size(); Axis-- > 0;) {
-      Row[Axis] = AxisValues[Axis][Rest % AxisValues[Axis].size()];
-      Rest /= AxisValues[Axis].size();
-    }
-    Row.back() = Reduce(Outcomes[I]);
-    Writer.appendRow(Row);
-  }
-}
-
-CsvWriter psg::metricsSnapshotToCsv(const MetricsSnapshot &Snapshot) {
-  CsvWriter Csv({"kind", "name", "value", "count", "sum", "min", "max"});
-  for (const CounterSample &C : Snapshot.Counters)
-    Csv.addRow({std::string("counter"), C.Name,
-                formatString("%llu", (unsigned long long)C.Value), "", "",
-                "", ""});
-  for (const GaugeSample &G : Snapshot.Gauges)
-    Csv.addRow({std::string("gauge"), G.Name,
-                formatString("%.10g", G.Value), "", "", "", ""});
-  for (const HistogramSample &H : Snapshot.Histograms)
-    Csv.addRow({std::string("histogram"), H.Name,
-                formatString("%.10g", H.mean()),
-                formatString("%llu", (unsigned long long)H.Count),
-                formatString("%.10g", H.Sum), formatString("%.10g", H.Min),
-                formatString("%.10g", H.Max)});
-  return Csv;
-}
-
 Status psg::saveMetricsJson(const MetricsSnapshot &Snapshot,
                             const std::string &Path) {
   const std::string Body = metricsSnapshotToJson(Snapshot);

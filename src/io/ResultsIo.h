@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CSV serialization of analysis products: trajectories, PSA maps, Sobol
-/// tables, and engine reports. All benches write their raw data through
-/// these helpers so EXPERIMENTS.md plots can be regenerated.
+/// CSV serialization of analysis products (trajectories, PSA maps, Sobol
+/// tables) and the psg-metrics-v1 JSON file of a metrics snapshot. All
+/// benches write their raw data through these helpers so EXPERIMENTS.md
+/// plots can be regenerated.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,73 +36,6 @@ CsvWriter psa2dToCsv(const Psa2dResult &Result, const std::string &Axis0,
 
 /// Renders a Sobol table as CSV (factor, S1, S1conf, ST, STconf).
 CsvWriter sobolToCsv(const SobolResult &Result);
-
-/// Renders an engine report summary as a one-row CSV.
-CsvWriter engineReportToCsv(const EngineReport &Report);
-
-/// Renders a stream report summary as a one-row CSV (adds the pipeline
-/// columns: peak resident outcomes, overlap ratio).
-CsvWriter streamReportToCsv(const StreamReport &Report);
-
-/// Writes CSV rows straight to a file as they arrive, holding only the
-/// current row in memory — the incremental counterpart of CsvWriter for
-/// streaming engine runs whose products don't fit (or shouldn't sit) in
-/// memory.
-class StreamingCsvWriter {
-public:
-  StreamingCsvWriter() = default;
-  StreamingCsvWriter(const StreamingCsvWriter &) = delete;
-  StreamingCsvWriter &operator=(const StreamingCsvWriter &) = delete;
-  ~StreamingCsvWriter();
-
-  /// Opens \p Path and writes the header row.
-  Status open(const std::string &Path,
-              const std::vector<std::string> &Header);
-
-  /// Appends one row of preformatted cells (csvEscape applied).
-  void appendRow(const std::vector<std::string> &Cells);
-
-  /// Appends one row of doubles formatted with %.10g (the CsvWriter
-  /// format, so incremental and in-memory documents are byte-identical).
-  void appendRow(const std::vector<double> &Cells);
-
-  /// Flushes and closes the file; reports short writes.
-  Status close();
-
-  bool isOpen() const { return File != nullptr; }
-  size_t numRows() const { return Rows; }
-
-private:
-  std::FILE *File = nullptr;
-  size_t Columns = 0;
-  size_t Rows = 0;
-};
-
-/// OutcomeSink that renders a streamed grid sweep as map CSV rows
-/// (axis coordinates, then the reduced metric), one row per simulation
-/// in stream order. Coordinates are derived from the ParameterSpace and
-/// the per-axis resolutions via the global simulation index (row-major,
-/// last axis fastest — the grid generator's order), so the sink never
-/// needs the materialized design.
-class GridMapCsvSink : public OutcomeSink {
-public:
-  GridMapCsvSink(StreamingCsvWriter &Writer, const ParameterSpace &Space,
-                 std::vector<size_t> PointsPerAxis,
-                 TrajectoryReducer Reduce);
-
-  void consumeSubBatch(size_t FirstIndex,
-                       std::vector<SimulationOutcome> &Outcomes) override;
-
-private:
-  StreamingCsvWriter &Writer;
-  std::vector<std::vector<double>> AxisValues; ///< Per-axis grid values.
-  TrajectoryReducer Reduce;
-};
-
-/// Renders a metrics snapshot as CSV rows
-/// (kind, name, value, count, sum, min, max); counters and gauges leave
-/// the histogram columns empty.
-CsvWriter metricsSnapshotToCsv(const MetricsSnapshot &Snapshot);
 
 /// Writes \p Snapshot to \p Path as the psg-metrics-v1 JSON document.
 Status saveMetricsJson(const MetricsSnapshot &Snapshot,

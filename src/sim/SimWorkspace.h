@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Reusable per-worker simulation state for the batch personalities. Each
-/// host worker that executes kernel bodies owns one SimWorkerSlot: a
+/// host worker that runs simulations owns one SimWorkerSlot: a
 /// parameterizable CompiledOdeSystem view over the batch's shared
 /// CompiledModel plus pooled solver instances keyed by registry name.
 /// Slots persist across simulations and across run() calls, so
@@ -46,14 +46,14 @@ private:
   std::map<std::string, std::unique_ptr<OdeSolver>> Solvers;
 };
 
-/// A pool of worker slots indexed by host worker index (see
-/// KernelContext::workerIndex / VirtualDevice::hostParallelism). Slots
-/// are heap-allocated individually so neighbouring workers never share a
-/// cache line through the pool.
+/// A pool of worker slots indexed by host worker index: the Worker
+/// argument of ThreadPool::parallelFor (below ThreadPool::parallelism()),
+/// or 0 for a serial loop. Slots are heap-allocated individually so
+/// neighbouring workers never share a cache line through the pool.
 class SimWorkerPool {
 public:
   /// Grows the pool to at least \p Workers slots. Not thread-safe: call
-  /// before launching kernels whose bodies index the pool.
+  /// before starting the loop whose bodies index the pool.
   void ensure(size_t Workers);
 
   /// The slot for \p Worker; ensure() must have covered the index.

@@ -119,9 +119,10 @@ std::vector<std::unique_ptr<Simulator>>
 createAllSimulators(const CostModel &Model);
 
 /// Creates one simulator by name; fails on unknown names with
-/// checkSimulatorName's message. Each GPU personality owns the
-/// vgpu::VirtualDevice its kernels launch on, with one host worker per
-/// hardware thread; the CPU personalities run serially on the caller.
+/// checkSimulatorName's message. Each GPU personality owns a ThreadPool
+/// of one host worker per hardware thread and runs each batch as one
+/// parallelFor over it, the caller joining in; the CPU personalities run
+/// serially on the caller.
 ErrorOr<std::unique_ptr<Simulator>> createSimulator(const std::string &Name,
                                                     const CostModel &Model);
 

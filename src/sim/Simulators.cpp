@@ -10,8 +10,7 @@
 #include "sim/WorkProfile.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
-
-#include <algorithm>
+#include "support/Trace.h"
 
 using namespace psg;
 
@@ -133,31 +132,61 @@ BatchResult finalizeBatch(const BatchSpec &Spec, const CostModel &Model,
 Simulator::~Simulator() = default;
 
 //===----------------------------------------------------------------------===//
-// CPU baselines.
+// The shared batch loop.
 //===----------------------------------------------------------------------===//
 
-CpuSolverSimulator::CpuSolverSimulator(std::string Solver,
-                                       std::string Display, CostModel M)
-    : SolverName(std::move(Solver)), DisplayName(std::move(Display)),
-      Model(std::move(M)) {}
+BatchSimulator::BatchSimulator(CostModel M, const char *KernelName)
+    : Model(std::move(M)) {
+  if (KernelName) {
+    KernelSpan = std::string("vgpu.kernel.") + KernelName;
+    Pool.emplace();
+  }
+}
 
-BatchResult CpuSolverSimulator::run(const BatchSpec &Spec) {
+BatchResult BatchSimulator::run(const BatchSpec &Spec) {
   assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
   if (const char *Rule = invalidWindowRule(Spec))
     return rejectBatch(Spec, Rule);
   WallTimer Timer;
   std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
+  // P1 happens once per batch in resolveModel (or once per network when
+  // the engine passes a cached compilation down); each worker slot holds
+  // a persistent parameterized view of the shared model.
   std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(1);
-  SimWorkerSlot &Slot = Workers[0];
-  CompiledOdeSystem &Sys = Slot.bind(Shared);
-  OdeSolver &Solver = Slot.solver(SolverName);
-  for (uint64_t I = 0; I < Spec.Batch; ++I) {
-    std::vector<double> Y = configureSimulation(Spec, Sys, I);
-    Outcomes[I] = runOne(Spec, Sys, Solver, std::move(Y));
+  Workers.ensure(Pool ? Pool->parallelism() : 1);
+  auto SimulateOne = [&](size_t I, unsigned Worker) {
+    SimWorkerSlot &Slot = Workers[Worker];
+    // simulate() builds the outcome in a local that is published with one
+    // move: neighbouring workers write adjacent Outcomes slots, and
+    // incremental writes would ping-pong the shared cache line.
+    Outcomes[I] = simulate(Spec, I, Slot.bind(Shared), Slot);
+  };
+  if (Pool) {
+    TraceSpan Span(KernelSpan, "vgpu");
+    Pool->parallelFor(Spec.Batch, SimulateOne);
+  } else {
+    for (uint64_t I = 0; I < Spec.Batch; ++I)
+      SimulateOne(I, 0);
   }
-  return finalizeBatch(Spec, Model, Backend::CpuSerial, *Shared,
-                       std::move(Outcomes), Timer.seconds());
+  return finalizeBatch(Spec, Model, backend(), *Shared, std::move(Outcomes),
+                       Timer.seconds());
+}
+
+//===----------------------------------------------------------------------===//
+// CPU baselines.
+//===----------------------------------------------------------------------===//
+
+CpuSolverSimulator::CpuSolverSimulator(std::string Solver,
+                                       std::string Display, CostModel M)
+    : BatchSimulator(std::move(M), nullptr), SolverName(std::move(Solver)),
+      DisplayName(std::move(Display)) {}
+
+SimulationOutcome CpuSolverSimulator::simulate(const BatchSpec &Spec,
+                                               size_t Index,
+                                               CompiledOdeSystem &Sys,
+                                               SimWorkerSlot &Slot) {
+  std::vector<double> Y = configureSimulation(Spec, Sys, Index);
+  return runOne(Spec, Sys, Slot.solver(SolverName), std::move(Y));
 }
 
 //===----------------------------------------------------------------------===//
@@ -165,30 +194,14 @@ BatchResult CpuSolverSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 CoarseGpuSimulator::CoarseGpuSimulator(CostModel M)
-    : Model(std::move(M)), Device(Model.gpu()) {}
+    : BatchSimulator(std::move(M), "cupsoda-batch") {}
 
-BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
-  assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
-  if (const char *Rule = invalidWindowRule(Spec))
-    return rejectBatch(Spec, Rule);
-  WallTimer Timer;
-  std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
-  std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(Device.hostParallelism());
-  Device.launchKernel("cupsoda-batch", Spec.Batch, 32, [&](KernelContext &Ctx) {
-    const size_t I = Ctx.threadIndex();
-    SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
-    CompiledOdeSystem &Sys = Slot.bind(Shared);
-    std::vector<double> Y = configureSimulation(Spec, Sys, I);
-    // Build the outcome locally and publish it once: neighbouring threads
-    // write adjacent Outcomes slots, and incremental writes would
-    // ping-pong the shared cache line.
-    SimulationOutcome Local =
-        runOne(Spec, Sys, Slot.solver("lsoda"), std::move(Y));
-    Outcomes[I] = std::move(Local);
-  });
-  return finalizeBatch(Spec, Model, Backend::GpuCoarse, *Shared,
-                       std::move(Outcomes), Timer.seconds());
+SimulationOutcome CoarseGpuSimulator::simulate(const BatchSpec &Spec,
+                                               size_t Index,
+                                               CompiledOdeSystem &Sys,
+                                               SimWorkerSlot &Slot) {
+  std::vector<double> Y = configureSimulation(Spec, Sys, Index);
+  return runOne(Spec, Sys, Slot.solver("lsoda"), std::move(Y));
 }
 
 //===----------------------------------------------------------------------===//
@@ -196,43 +209,26 @@ BatchResult CoarseGpuSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 FineGpuSimulator::FineGpuSimulator(CostModel M)
-    : Model(std::move(M)), Device(Model.gpu()) {}
+    : BatchSimulator(std::move(M), "lassie-batch") {}
 
-BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
-  assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
-  if (const char *Rule = invalidWindowRule(Spec))
-    return rejectBatch(Spec, Rule);
-  WallTimer Timer;
-  std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
-  std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(Device.hostParallelism());
-  // Fine-grained tools process one simulation at a time; each simulation
-  // runs as one kernel pipeline whose threads are the ODEs.
-  for (uint64_t I = 0; I < Spec.Batch; ++I) {
-    Device.launchKernel(
-        "lassie-sim", std::max<uint64_t>(Shared->NumSpecies, 1), 32,
-        [&](KernelContext &Ctx) {
-          if (Ctx.threadIndex() != 0)
-            return; // The numerics run once; threads model ODE lanes.
-          SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
-          CompiledOdeSystem &Sys = Slot.bind(Shared);
-          std::vector<double> Y = configureSimulation(Spec, Sys, I);
-          SimulationOutcome Local =
-              runOne(Spec, Sys, Slot.solver("rkf45"), Y);
-          if (!Local.Result.ok()) {
-            // LASSIE switches to first-order BDF under stiffness.
-            const IntegrationStats ExplicitCost = Local.Result.Stats;
-            metrics().counter("psg.engine.stiffness_reroutes").add();
-            Local = runOne(Spec, Sys, Slot.solver("bdf"),
-                           configureSimulation(Spec, Sys, I));
-            Local.Result.Stats.merge(ExplicitCost);
-            ++Local.Result.Stats.SolverSwitches;
-          }
-          Outcomes[I] = std::move(Local);
-        });
-  }
-  return finalizeBatch(Spec, Model, Backend::GpuFine, *Shared,
-                       std::move(Outcomes), Timer.seconds());
+SimulationOutcome FineGpuSimulator::simulate(const BatchSpec &Spec,
+                                             size_t Index,
+                                             CompiledOdeSystem &Sys,
+                                             SimWorkerSlot &Slot) {
+  SimulationOutcome Out = runOne(Spec, Sys, Slot.solver("rkf45"),
+                                 configureSimulation(Spec, Sys, Index));
+  if (Out.Result.ok())
+    return Out;
+  // LASSIE switches to first-order BDF under stiffness.
+  static Counter &StiffnessReroutes =
+      metrics().counter("psg.engine.stiffness_reroutes");
+  const IntegrationStats ExplicitCost = Out.Result.Stats;
+  StiffnessReroutes.add();
+  Out = runOne(Spec, Sys, Slot.solver("bdf"),
+               configureSimulation(Spec, Sys, Index));
+  Out.Result.Stats.merge(ExplicitCost);
+  ++Out.Result.Stats.SolverSwitches;
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -240,74 +236,62 @@ BatchResult FineGpuSimulator::run(const BatchSpec &Spec) {
 //===----------------------------------------------------------------------===//
 
 FineCoarseSimulator::FineCoarseSimulator(CostModel M)
-    : Model(std::move(M)), Device(Model.gpu()) {}
+    : BatchSimulator(std::move(M), "psg-engine-batch") {}
 
-BatchResult FineCoarseSimulator::run(const BatchSpec &Spec) {
-  assert(Spec.Model && Spec.Batch > 0 && "malformed batch spec");
-  if (const char *Rule = invalidWindowRule(Spec))
-    return rejectBatch(Spec, Rule);
-  WallTimer Timer;
-  std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
-  MetricsRegistry &M = metrics();
-  Counter &RoutedExplicit = M.counter("psg.engine.routed_explicit");
-  Counter &RoutedImplicit = M.counter("psg.engine.routed_implicit");
-  Counter &StiffnessReroutes = M.counter("psg.engine.stiffness_reroutes");
+SimulationOutcome FineCoarseSimulator::simulate(const BatchSpec &Spec,
+                                                size_t Index,
+                                                CompiledOdeSystem &Sys,
+                                                SimWorkerSlot &Slot) {
+  static Counter &RoutedExplicit =
+      metrics().counter("psg.engine.routed_explicit");
+  static Counter &RoutedImplicit =
+      metrics().counter("psg.engine.routed_implicit");
+  static Counter &StiffnessReroutes =
+      metrics().counter("psg.engine.stiffness_reroutes");
 
-  // P1 happens once per batch in resolveModel (or once per network when
-  // the engine passes a cached compilation down); each host worker holds
-  // a persistent parameterized view of the shared model. P2-P4 run inside
-  // one parent grid: the P2 routing heuristic, the explicit path, and the
-  // implicit path with re-dispatch of failed explicit simulations.
-  std::shared_ptr<const CompiledModel> Shared = resolveModel(Spec);
-  Workers.ensure(Device.hostParallelism());
-  Device.launchKernel("psg-engine-batch", Spec.Batch, 32,
-                      [&](KernelContext &Ctx) {
-    const size_t I = Ctx.threadIndex();
-    SimWorkerSlot &Slot = Workers[Ctx.workerIndex()];
-    CompiledOdeSystem &Sys = Slot.bind(Shared);
-    std::vector<double> Y = configureSimulation(Spec, Sys, I);
-    SimulationOutcome Local;
+  // P2-P4 run per simulation: the P2 routing heuristic, the explicit
+  // path, and the implicit path with re-dispatch of a failed explicit
+  // simulation.
+  std::vector<double> Y = configureSimulation(Spec, Sys, Index);
+  SimulationOutcome Local;
 
-    bool UseImplicit = ForcedMethod == "radau5";
-    IntegrationStats RoutingCost;
-    if (ForcedMethod == "auto") {
-      // P2: dominant eigenvalue of the Jacobian at the initial state.
-      std::vector<double> F0(Sys.dimension());
-      Sys.rhs(Spec.StartTime, Y.data(), F0.data());
-      ++RoutingCost.RhsEvaluations;
-      Matrix J;
-      RoutingCost.RhsEvaluations +=
-          Sys.jacobian(Spec.StartTime, Y.data(), F0.data(), J);
-      ++RoutingCost.JacobianEvaluations;
-      UseImplicit = powerIterationSpectralRadius(J) >= StiffnessThreshold;
+  bool UseImplicit = ForcedMethod == "radau5";
+  IntegrationStats RoutingCost;
+  if (ForcedMethod == "auto") {
+    // P2: dominant eigenvalue of the Jacobian at the initial state.
+    std::vector<double> F0(Sys.dimension());
+    Sys.rhs(Spec.StartTime, Y.data(), F0.data());
+    ++RoutingCost.RhsEvaluations;
+    Matrix J;
+    RoutingCost.RhsEvaluations +=
+        Sys.jacobian(Spec.StartTime, Y.data(), F0.data(), J);
+    ++RoutingCost.JacobianEvaluations;
+    UseImplicit = powerIterationSpectralRadius(J) >= StiffnessThreshold;
+  }
+
+  if (!UseImplicit) {
+    // P3: DOPRI5 with stiffness detection enabled.
+    RoutedExplicit.add();
+    Local = runOne(Spec, Sys, Slot.solver("dopri5"), Y);
+    if (!Local.Result.ok()) {
+      // Re-dispatch to P4 from the initial state, keeping the cost of
+      // the failed explicit attempt.
+      RoutingCost.merge(Local.Result.Stats);
+      ++RoutingCost.SolverSwitches;
+      StiffnessReroutes.add();
+      UseImplicit = true;
+      Y = configureSimulation(Spec, Sys, Index);
     }
-
-    if (!UseImplicit) {
-      // P3: DOPRI5 with stiffness detection enabled.
-      RoutedExplicit.add();
-      Local = runOne(Spec, Sys, Slot.solver("dopri5"), Y);
-      if (!Local.Result.ok()) {
-        // Re-dispatch to P4 from the initial state, keeping the cost of
-        // the failed explicit attempt.
-        RoutingCost.merge(Local.Result.Stats);
-        ++RoutingCost.SolverSwitches;
-        StiffnessReroutes.add();
-        UseImplicit = true;
-        Y = configureSimulation(Spec, Sys, I);
-      }
-    } else {
-      RoutedImplicit.add();
-    }
-    if (UseImplicit) {
-      // P4: Radau IIA.
-      Local = runOne(Spec, Sys, Slot.solver("radau5"), std::move(Y));
-    }
-    Local.Result.Stats.merge(RoutingCost);
-    Outcomes[I] = std::move(Local);
-  });
-  // P5: collection happened through the recorders.
-  return finalizeBatch(Spec, Model, Backend::GpuFineCoarse, *Shared,
-                       std::move(Outcomes), Timer.seconds());
+  } else {
+    RoutedImplicit.add();
+  }
+  if (UseImplicit) {
+    // P4: Radau IIA.
+    Local = runOne(Spec, Sys, Slot.solver("radau5"), std::move(Y));
+  }
+  // P5: collection happens through the recorders.
+  Local.Result.Stats.merge(RoutingCost);
+  return Local;
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,68 +27,99 @@
 
 #include "sim/SimWorkspace.h"
 #include "sim/Simulator.h"
-#include "vgpu/VirtualDevice.h"
+#include "vgpu/ThreadPool.h"
+
+#include <optional>
 
 namespace psg {
 
+/// The batch loop the five personalities share. run() checks the window,
+/// sizes the outcome storage, resolves the compiled model once, runs
+/// every simulation through simulate() and prices the batch on
+/// backend(). The CPU personalities loop serially on the caller; the GPU
+/// personalities make one ThreadPool::parallelFor call per batch.
+class BatchSimulator : public Simulator {
+public:
+  BatchResult run(const BatchSpec &Spec) final;
+
+protected:
+  /// A null \p KernelName runs every batch serially on the caller. Any
+  /// other name gives the simulator a host pool of one worker per
+  /// hardware thread (the caller joins in) and traces each batch as the
+  /// span `vgpu.kernel.<KernelName>`.
+  BatchSimulator(CostModel Model, const char *KernelName);
+
+  /// Runs simulation \p Index of \p Spec on \p Sys, the view \p Slot
+  /// holds of the batch's model, with \p Slot's solvers. Called
+  /// concurrently for different indices, each with its own slot.
+  virtual SimulationOutcome simulate(const BatchSpec &Spec, size_t Index,
+                                     CompiledOdeSystem &Sys,
+                                     SimWorkerSlot &Slot) = 0;
+
+private:
+  CostModel Model;
+  std::string KernelSpan;         ///< Empty for the serial personalities.
+  std::optional<ThreadPool> Pool; ///< Absent for the serial personalities.
+  SimWorkerPool Workers;          ///< One reusable slot per participant.
+};
+
 /// Serial CPU baseline wrapping one registry solver ("lsoda" / "vode").
-class CpuSolverSimulator : public Simulator {
+class CpuSolverSimulator : public BatchSimulator {
 public:
   CpuSolverSimulator(std::string SolverName, std::string DisplayName,
                      CostModel Model);
 
   std::string name() const override { return DisplayName; }
   Backend backend() const override { return Backend::CpuSerial; }
-  BatchResult run(const BatchSpec &Spec) override;
+
+protected:
+  SimulationOutcome simulate(const BatchSpec &Spec, size_t Index,
+                             CompiledOdeSystem &Sys,
+                             SimWorkerSlot &Slot) override;
 
 private:
   std::string SolverName;
   std::string DisplayName;
-  CostModel Model;
-  SimWorkerPool Workers; ///< Slot 0: the serial loop's reusable state.
 };
 
-/// cupSODA-like: one virtual GPU thread per simulation, LSODA numerics.
-class CoarseGpuSimulator : public Simulator {
+/// cupSODA-like: one GPU thread per simulation, LSODA numerics.
+class CoarseGpuSimulator : public BatchSimulator {
 public:
   explicit CoarseGpuSimulator(CostModel Model);
 
   std::string name() const override { return "gpu-coarse"; }
   Backend backend() const override { return Backend::GpuCoarse; }
-  BatchResult run(const BatchSpec &Spec) override;
 
-private:
-  CostModel Model;
-  VirtualDevice Device;
-  SimWorkerPool Workers; ///< One reusable slot per host worker.
+protected:
+  SimulationOutcome simulate(const BatchSpec &Spec, size_t Index,
+                             CompiledOdeSystem &Sys,
+                             SimWorkerSlot &Slot) override;
 };
 
-/// LASSIE-like: simulations in sequence, each fine-grained; RKF45 with a
-/// BDF fallback on stiffness.
-class FineGpuSimulator : public Simulator {
+/// LASSIE-like: each simulation fine-grained on the modeled device;
+/// RKF45 with a BDF fallback on stiffness.
+class FineGpuSimulator : public BatchSimulator {
 public:
   explicit FineGpuSimulator(CostModel Model);
 
   std::string name() const override { return "gpu-fine"; }
   Backend backend() const override { return Backend::GpuFine; }
-  BatchResult run(const BatchSpec &Spec) override;
 
-private:
-  CostModel Model;
-  VirtualDevice Device;
-  SimWorkerPool Workers; ///< One reusable slot per host worker.
+protected:
+  SimulationOutcome simulate(const BatchSpec &Spec, size_t Index,
+                             CompiledOdeSystem &Sys,
+                             SimWorkerSlot &Slot) override;
 };
 
 /// The paper's engine: fine+coarse with the five-phase pipeline
 /// (P1 compile, P2 eigenvalue routing, P3 DOPRI5, P4 RADAU5 including
 /// re-dispatch of failed explicit runs, P5 collection).
-class FineCoarseSimulator : public Simulator {
+class FineCoarseSimulator : public BatchSimulator {
 public:
   explicit FineCoarseSimulator(CostModel Model);
 
   std::string name() const override { return "psg-engine"; }
   Backend backend() const override { return Backend::GpuFineCoarse; }
-  BatchResult run(const BatchSpec &Spec) override;
 
   /// Default spectral-radius threshold of the P2 routing heuristic (the
   /// paper's "dominant eigenvalue lower than 500 -> DOPRI5").
@@ -101,10 +132,10 @@ public:
   /// "dopri5", or "radau5".
   std::string ForcedMethod = "auto";
 
-private:
-  CostModel Model;
-  VirtualDevice Device;
-  SimWorkerPool Workers; ///< One reusable slot per host worker.
+protected:
+  SimulationOutcome simulate(const BatchSpec &Spec, size_t Index,
+                             CompiledOdeSystem &Sys,
+                             SimWorkerSlot &Slot) override;
 };
 
 } // namespace psg

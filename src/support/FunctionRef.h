@@ -9,8 +9,8 @@
 /// llvm::function_ref / C++26 std::function_ref. Two words wide (object
 /// pointer + trampoline), trivially copyable, and free of the type-erased
 /// heap allocation std::function may perform — the right parameter type
-/// for hot-path callbacks (kernel bodies, child-grid launches, pool
-/// loops) that are invoked inside the call they are passed to.
+/// for hot-path callbacks (thread-pool loop bodies) that are invoked
+/// inside the call they are passed to.
 ///
 /// Like llvm::function_ref, a FunctionRef does not extend the lifetime of
 /// the referenced callable: it must not be stored beyond the duration of

@@ -7,9 +7,9 @@
 /// \file
 /// A process-wide metrics registry: named counters, gauges, and
 /// histograms with thread-safe (relaxed-atomic) updates. The hot layers
-/// (engine dispatch, solvers, virtual device, thread pool, analysis
-/// drivers) record into the registry; a MetricsSnapshot freezes all
-/// values for reports and JSON serialization.
+/// (engine dispatch, solvers, thread pool, analysis drivers) record into
+/// the registry; a MetricsSnapshot freezes all values for reports and
+/// JSON serialization.
 ///
 /// Registration is mutex-protected and returns references that stay
 /// valid for the lifetime of the process (reset() zeroes values but

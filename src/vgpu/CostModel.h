@@ -151,7 +151,6 @@ public:
   double hiddenPrepareSeconds(double HostPrepareSeconds,
                               double DeviceSeconds) const;
 
-  const DeviceSpec &gpu() const { return Gpu; }
   const DeviceSpec &cpu() const { return Cpu; }
   const Tunables &tunables() const { return Knobs; }
 

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size worker pool backing the virtual device. The GPU's
-/// logical threads are multiplexed onto these host workers; on a
+/// A small fixed-size worker pool. Each GPU personality owns one and runs
+/// every batch as one parallelFor, one index per simulation; on a
 /// single-core host it degenerates to serial execution while preserving
 /// the batch semantics and determinism of the results.
 ///

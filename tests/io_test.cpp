@@ -51,16 +51,3 @@ TEST(ResultsIoTest, SobolCsvHasOneRowPerFactor) {
   EXPECT_EQ(Csv.numRows(), 2u);
   EXPECT_NE(Csv.toString().find("hkEGLC2,0.300000"), std::string::npos);
 }
-
-TEST(ResultsIoTest, EngineReportCsvSummarizes) {
-  EngineReport R;
-  R.Outcomes.resize(7);
-  R.Failures = 2;
-  R.SubBatches = 1;
-  R.TotalStats.Steps = 100;
-  R.TotalStats.RhsEvaluations = 600;
-  CsvWriter Csv = engineReportToCsv(R);
-  EXPECT_EQ(Csv.numRows(), 1u);
-  const std::string Text = Csv.toString();
-  EXPECT_NE(Text.find("7,2,1,100,600"), std::string::npos);
-}

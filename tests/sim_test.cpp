@@ -10,6 +10,7 @@
 
 #include "rbm/CuratedModels.h"
 #include "rbm/SyntheticGenerator.h"
+#include "support/Metrics.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
@@ -205,6 +206,24 @@ TEST(SimulatorTest, PersonalitiesAgreeNumerically) {
   for (size_t I = 1; I < Finals.size(); ++I)
     EXPECT_NEAR(Finals[I], Finals[0],
                 2e-3 * (1.0 + std::abs(Finals[0])));
+}
+
+TEST(SimulatorTest, GpuBatchIsOnePoolJob) {
+  // A GPU personality runs a whole batch as one ThreadPool::parallelFor,
+  // one task per simulation; the CPU personalities never touch a pool.
+  CostModel M = CostModel::paperSetup();
+  ReactionNetwork Net = makeLotkaVolterraNetwork();
+  Counter &Jobs = metrics().counter("psg.vgpu.pool.jobs");
+  Counter &Tasks = metrics().counter("psg.vgpu.pool.tasks");
+  for (const std::unique_ptr<Simulator> &Sim : createAllSimulators(M)) {
+    const bool Pooled = Sim->backend() != Backend::CpuSerial;
+    const uint64_t JobsBefore = Jobs.value();
+    const uint64_t TasksBefore = Tasks.value();
+    const BatchResult R = Sim->run(specFor(Net, 6, 2.0));
+    EXPECT_EQ(R.Failures, 0u) << Sim->name();
+    EXPECT_EQ(Jobs.value() - JobsBefore, Pooled ? 1u : 0u) << Sim->name();
+    EXPECT_EQ(Tasks.value() - TasksBefore, Pooled ? 6u : 0u) << Sim->name();
+  }
 }
 
 TEST(OutcomeDigestTest, PersonalitiesKeepTheirOutcomeBits) {

@@ -3,11 +3,11 @@
 // Part of psg, under the BSD 3-Clause License.
 //
 // The streaming contract: stream() is bit-exact with the materializing
-// run() for every simulator personality and every in-flight depth, the
-// outcome bits do not depend on where the stream is cut into
-// sub-batches, lazy generators emit bit-identical sequences to their
-// materializing counterparts, and engine residency stays bounded by
-// InFlight * SubBatchSize no matter how large the sweep is.
+// run() for every simulator personality, the outcome bits do not depend
+// on where the stream is cut into sub-batches, lazy generators emit
+// bit-identical sequences to their materializing counterparts, and
+// engine residency stays bounded by 2 * SubBatchSize (double-buffering)
+// no matter how large the sweep is.
 //
 //===----------------------------------------------------------------------===//
 
@@ -218,7 +218,7 @@ TEST(PointGeneratorTest, MaterializedRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-exactness: stream() == run() for every personality and depth.
+// Bit-exactness: stream() == run() for every personality.
 //===----------------------------------------------------------------------===//
 
 TEST(StreamEngineTest, StreamIsBitExactWithRunAcrossPersonalities) {
@@ -240,36 +240,31 @@ TEST(StreamEngineTest, StreamIsBitExactWithRunAcrossPersonalities) {
         Reference.run(Space, Space.gridSample({Points}));
     ASSERT_EQ(Materialized.Outcomes.size(), Points) << Sim;
 
-    for (uint64_t InFlight : {1u, 2u, 4u}) {
-      Opts.InFlight = InFlight;
-      BatchEngine Engine(CostModel::paperSetup(), Opts);
-      auto Gen = makeGridGenerator(Space, {Points});
-      CollectSink Sink;
-      const StreamReport Report = Engine.stream(Space, *Gen, Sink);
+    BatchEngine Engine(CostModel::paperSetup(), Opts);
+    auto Gen = makeGridGenerator(Space, {Points});
+    CollectSink Sink;
+    const StreamReport Report = Engine.stream(Space, *Gen, Sink);
 
-      EXPECT_EQ(Report.Simulations, Points) << Sim;
-      EXPECT_EQ(Report.SubBatches, 3u) << Sim; // 8 + 8 + 4.
-      EXPECT_EQ(Report.Failures, Materialized.Failures) << Sim;
-      EXPECT_LE(Report.PeakResidentOutcomes, InFlight * Opts.SubBatchSize)
-          << Sim << " in-flight " << InFlight;
-      ASSERT_EQ(Sink.Outcomes.size(), Points) << Sim;
-      for (size_t I = 0; I < Points; ++I) {
-        Status S = compareOutcomesBitExact(Sink.Outcomes[I],
-                                           Materialized.Outcomes[I]);
-        EXPECT_TRUE(bool(S)) << Sim << " in-flight " << InFlight
-                             << " outcome " << I << ": " << S.message();
-      }
+    EXPECT_EQ(Report.Simulations, Points) << Sim;
+    EXPECT_EQ(Report.SubBatches, 3u) << Sim; // 8 + 8 + 4.
+    EXPECT_EQ(Report.Failures, Materialized.Failures) << Sim;
+    EXPECT_LE(Report.PeakResidentOutcomes, 2 * Opts.SubBatchSize) << Sim;
+    ASSERT_EQ(Sink.Outcomes.size(), Points) << Sim;
+    for (size_t I = 0; I < Points; ++I) {
+      Status S = compareOutcomesBitExact(Sink.Outcomes[I],
+                                         Materialized.Outcomes[I]);
+      EXPECT_TRUE(bool(S)) << Sim << " outcome " << I << ": "
+                           << S.message();
     }
   }
 }
 
 TEST(StreamEngineTest, OutcomeBitsIgnoreSubBatchCuts) {
-  // Neither where the stream is cut into sub-batches nor how many are
-  // staged at once may change an outcome bit: the sweep's folded digest
-  // is the same for every cut. Robertson probes non-stiff at t0 and
-  // turns stiff, so psg-engine reroutes it from DOPRI5 to RADAU5
-  // (P3 -> P4); cpu-vode fails it on the step budget, which is pinned
-  // the same way.
+  // Where the stream is cut into sub-batches may not change an outcome
+  // bit: the sweep's folded digest is the same for every cut. Robertson
+  // probes non-stiff at t0 and turns stiff, so psg-engine reroutes it
+  // from DOPRI5 to RADAU5 (P3 -> P4); cpu-vode fails it on the step
+  // budget, which is pinned the same way.
   struct Sweep {
     const char *Model;
     ReactionNetwork Net;
@@ -287,32 +282,29 @@ TEST(StreamEngineTest, OutcomeBitsIgnoreSubBatchCuts) {
     Space.addAxis(rateAxis(0, S.Lo, S.Hi));
     for (const std::string &Sim : simulatorNames()) {
       std::optional<uint64_t> Expected;
-      for (uint64_t SubBatch : {1u, 7u, 512u})
-        for (uint64_t InFlight : {1u, 2u}) {
-          EngineOptions Opts;
-          Opts.SimulatorName = Sim;
-          Opts.SubBatchSize = SubBatch;
-          Opts.InFlight = InFlight;
-          Opts.EndTime = S.EndTime;
-          Opts.OutputSamples = 5;
-          BatchEngine Engine(CostModel::paperSetup(), Opts);
-          auto Gen = makeGridGenerator(Space, {Points});
-          DigestSink Sink;
-          const uint64_t ReroutesBefore = Reroutes.value();
-          const StreamReport Report = Engine.stream(Space, *Gen, Sink);
-          if (Sim == "psg-engine")
-            EngineReroutes += Reroutes.value() - ReroutesBefore;
+      for (uint64_t SubBatch : {1u, 7u, 512u}) {
+        EngineOptions Opts;
+        Opts.SimulatorName = Sim;
+        Opts.SubBatchSize = SubBatch;
+        Opts.EndTime = S.EndTime;
+        Opts.OutputSamples = 5;
+        BatchEngine Engine(CostModel::paperSetup(), Opts);
+        auto Gen = makeGridGenerator(Space, {Points});
+        DigestSink Sink;
+        const uint64_t ReroutesBefore = Reroutes.value();
+        const StreamReport Report = Engine.stream(Space, *Gen, Sink);
+        if (Sim == "psg-engine")
+          EngineReroutes += Reroutes.value() - ReroutesBefore;
 
-          const std::string Row = Sim + " on " + S.Model + ", sub-batch " +
-                                  std::to_string(SubBatch) + ", in-flight " +
-                                  std::to_string(InFlight);
-          EXPECT_EQ(Sink.Count, Points) << Row;
-          EXPECT_EQ(Report.SubBatches, (Points + SubBatch - 1) / SubBatch)
-              << Row;
-          if (!Expected)
-            Expected = Sink.Digest;
-          EXPECT_EQ(Sink.Digest, *Expected) << Row;
-        }
+        const std::string Row = Sim + " on " + S.Model + ", sub-batch " +
+                                std::to_string(SubBatch);
+        EXPECT_EQ(Sink.Count, Points) << Row;
+        EXPECT_EQ(Report.SubBatches, (Points + SubBatch - 1) / SubBatch)
+            << Row;
+        if (!Expected)
+          Expected = Sink.Digest;
+        EXPECT_EQ(Sink.Digest, *Expected) << Row;
+      }
     }
   }
   EXPECT_GT(EngineReroutes, 0u);
@@ -339,15 +331,14 @@ TEST(StreamEngineTest, RunMatchesStreamAggregates) {
 
 TEST(StreamEngineTest, ResidencyStaysBoundedOnLargeSweep) {
   // 100k-point sweep of a tiny model: with materialization this would
-  // hold 100k outcomes; the stream must never hold more than
-  // InFlight * SubBatchSize.
+  // hold 100k outcomes; the double-buffered stream must never hold more
+  // than 2 * SubBatchSize.
   ReactionNetwork Net = makeDecayChainNetwork(2, 1.0);
   ParameterSpace Space(Net);
   Space.addAxis(initialAxis(Net, "S0", 0.5, 2.0));
 
   EngineOptions Opts;
   Opts.SubBatchSize = 512;
-  Opts.InFlight = 2;
   Opts.EndTime = 0.1;
   Opts.OutputSamples = 0; // Endpoints only: keep the sweep fast.
   BatchEngine Engine(CostModel::paperSetup(), Opts);
@@ -360,7 +351,7 @@ TEST(StreamEngineTest, ResidencyStaysBoundedOnLargeSweep) {
   EXPECT_EQ(Sink.Count, Sweep);
   EXPECT_EQ(Report.Simulations, Sweep);
   EXPECT_EQ(Report.SubBatches, (Sweep + 511) / 512);
-  EXPECT_LE(Report.PeakResidentOutcomes, Opts.InFlight * Opts.SubBatchSize);
+  EXPECT_LE(Report.PeakResidentOutcomes, 2 * Opts.SubBatchSize);
   EXPECT_GE(Report.PeakResidentOutcomes, Opts.SubBatchSize);
   // The bound is also exported as a gauge.
   EXPECT_DOUBLE_EQ(
@@ -373,22 +364,4 @@ TEST(StreamEngineTest, ResidencyStaysBoundedOnLargeSweep) {
   EXPECT_DOUBLE_EQ(
       Report.Metrics.gaugeValue("psg.engine.pipeline.overlap_ratio"),
       Report.OverlapRatio);
-}
-
-TEST(StreamEngineTest, SingleInFlightExposesAllPreparation) {
-  ReactionNetwork Net = makeDecayChainNetwork(2, 1.0);
-  ParameterSpace Space(Net);
-  Space.addAxis(initialAxis(Net, "S0", 0.5, 2.0));
-  EngineOptions Opts;
-  Opts.SubBatchSize = 16;
-  Opts.InFlight = 1;
-  Opts.EndTime = 0.1;
-  BatchEngine Engine(CostModel::paperSetup(), Opts);
-  auto Gen = makeGridGenerator(Space, {64});
-  CountingSink Sink;
-  const StreamReport Report = Engine.stream(Space, *Gen, Sink);
-  EXPECT_EQ(Report.Simulations, 64u);
-  EXPECT_DOUBLE_EQ(Report.OverlapRatio, 0.0);
-  EXPECT_DOUBLE_EQ(Report.HiddenPrepareSeconds, 0.0);
-  EXPECT_LE(Report.PeakResidentOutcomes, Opts.SubBatchSize);
 }

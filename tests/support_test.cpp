@@ -368,11 +368,13 @@ TEST(CliOptionsTest, UnknownFlagIsRejected) {
                        cliCommandFlags("simulate")),
             "unknown option --bogus");
   // A flag of another command is unknown too.
-  EXPECT_EQ(parseError({"--inflight", "1"}, cliCommandFlags("simulate")),
-            "unknown option --inflight");
-  // So are the flags of the deleted multi-device scheduler.
+  EXPECT_EQ(parseError({"--sub-batch", "1"}, cliCommandFlags("simulate")),
+            "unknown option --sub-batch");
+  // So are the flags of the deleted multi-device scheduler and psa1d's
+  // deleted pipeline flags.
   for (const char *Command : {"simulate", "psa1d"})
-    for (const char *Flag : {"--devices", "--shard-chunk"})
+    for (const char *Flag :
+         {"--devices", "--shard-chunk", "--stream", "--inflight"})
       EXPECT_EQ(parseError({"m.txt", Flag, "4"}, cliCommandFlags(Command)),
                 std::string("unknown option ") + Flag)
           << Command;
@@ -406,13 +408,6 @@ TEST(CliOptionsTest, SwitchLeavesTheNextArgumentAnOperand) {
   EXPECT_EQ(O->Positional,
             (std::vector<std::string>{"curated:brusselator", "curated:x"}));
 
-  O = parseArgs({"--stream", "m.txt", "--inflight", "2"},
-                cliCommandFlags("psa1d"));
-  ASSERT_TRUE(O) << O.message();
-  EXPECT_TRUE(O->has("stream"));
-  EXPECT_EQ(O->Positional, std::vector<std::string>{"m.txt"});
-  EXPECT_EQ(O->getUnsigned("inflight", 0), 2u);
-
   O = parseArgs({"--perturb", "m.txt"}, cliCommandFlags("simulate"));
   ASSERT_TRUE(O) << O.message();
   EXPECT_TRUE(O->has("perturb"));
@@ -444,7 +439,7 @@ TEST(CliOptionsTest, CountsMustBeAboveZero) {
   // never a value the engine silently replaces.
   const std::pair<const char *, const char *> Counts[] = {
       {"simulate", "batch"},
-      {"psa1d", "points inflight sub-batch"},
+      {"psa1d", "points sub-batch"},
       {"generate", "species reactions"}};
   for (const auto &[Command, Flags] : Counts)
     for (const std::string &Flag : splitWhitespace(Flags)) {

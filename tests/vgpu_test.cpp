@@ -8,7 +8,6 @@
 #include "vgpu/CostModel.h"
 #include "vgpu/DeviceSpec.h"
 #include "vgpu/ThreadPool.h"
-#include "vgpu/VirtualDevice.h"
 
 #include <gtest/gtest.h>
 
@@ -136,6 +135,31 @@ TEST(ThreadPoolTest, ParallelismCountsCallerThread) {
   EXPECT_EQ(Pool.parallelism(), Pool.numWorkers() + 1);
 }
 
+TEST(ThreadPoolTest, ResultsIndependentOfWorkerCount) {
+  // The same loop over the same inputs yields identical bytes whatever
+  // the number of host workers sharing its indices.
+  const size_t N = 512;
+  std::vector<double> Input(N);
+  for (size_t I = 0; I < N; ++I)
+    Input[I] = std::sin(static_cast<double>(I) * 0.01) + 1e-3;
+
+  auto RunWith = [&](unsigned Workers) {
+    ThreadPool Pool(Workers);
+    std::vector<double> Data = Input;
+    Pool.parallelFor(N, [&Data](size_t I) {
+      double X = Data[I];
+      for (int Step = 0; Step < 50; ++Step)
+        X = X + 0.01 * (1.0 - X * X); // logistic-style update
+      Data[I] = X;
+    });
+    return Data;
+  };
+
+  std::vector<double> One = RunWith(1);
+  std::vector<double> Four = RunWith(4);
+  EXPECT_EQ(std::memcmp(One.data(), Four.data(), N * sizeof(double)), 0);
+}
+
 TEST(ThreadPoolTest, UtilizationCountsTheCallerAsCapacity) {
   // One busy participant out of two (the worker plus the caller) uses
   // half the pool, not all of it.
@@ -145,78 +169,6 @@ TEST(ThreadPoolTest, UtilizationCountsTheCallerAsCapacity) {
   });
   EXPECT_LT(metrics().snapshot().gaugeValue("psg.vgpu.pool.utilization"),
             0.75);
-}
-
-//===----------------------------------------------------------------------===//
-// Virtual device accounting.
-//===----------------------------------------------------------------------===//
-
-TEST(VirtualDeviceTest, LaunchRecordsGeometry) {
-  VirtualDevice Dev(DeviceSpec::titanX(), 2);
-  std::atomic<uint64_t> Touched{0};
-  LaunchRecord R = Dev.launchKernel("probe", 100, 32, [&](KernelContext &C) {
-    ++Touched;
-    EXPECT_LT(C.threadIndex(), 100u);
-    EXPECT_EQ(C.gridSize(), 100u);
-    EXPECT_EQ(C.blockDim(), 32u);
-    EXPECT_EQ(C.blockIndex(), C.threadIndex() / 32);
-  });
-  EXPECT_EQ(Touched.load(), 100u);
-  EXPECT_EQ(R.LogicalThreads, 100u);
-  EXPECT_EQ(R.Blocks, 4u);  // ceil(100/32)
-  EXPECT_EQ(R.Warps, 4u);
-  EXPECT_EQ(Dev.counters().KernelLaunches, 1u);
-  EXPECT_EQ(Dev.counters().LogicalThreadsRun, 100u);
-}
-
-TEST(VirtualDeviceTest, ChildGridsAreCounted) {
-  VirtualDevice Dev(DeviceSpec::titanX(), 1);
-  LaunchRecord R =
-      Dev.launchKernel("parent", 8, 8, [&](KernelContext &C) {
-        std::atomic<uint64_t> Sum{0};
-        EXPECT_EQ(C.launchChildGrid(4, [&](uint64_t I) { Sum += I; }), 4u);
-        EXPECT_EQ(Sum.load(), 6u);
-      });
-  EXPECT_EQ(R.ChildGrids, 8u);
-  EXPECT_EQ(Dev.counters().ChildGridLaunches, 8u);
-}
-
-TEST(VirtualDeviceTest, EveryLogicalThreadRunsOnce) {
-  VirtualDevice Dev(DeviceSpec::titanX(), 3);
-  const uint64_t N = 777;
-  std::vector<std::atomic<int>> Hits(N);
-  Dev.launchKernel("coverage", N, 32, [&](KernelContext &Ctx) {
-    ++Hits[Ctx.threadIndex()];
-    EXPECT_LT(Ctx.workerIndex(), Dev.hostParallelism());
-    EXPECT_EQ(Ctx.gridSize(), N);
-  });
-  for (uint64_t I = 0; I < N; ++I)
-    EXPECT_EQ(Hits[I].load(), 1) << I;
-}
-
-TEST(VirtualDeviceTest, ResultsIndependentOfWorkerCount) {
-  // The same kernel over the same inputs yields identical bytes whatever
-  // the number of host workers multiplexing its logical threads.
-  const size_t N = 512;
-  std::vector<double> Input(N);
-  for (size_t I = 0; I < N; ++I)
-    Input[I] = std::sin(static_cast<double>(I) * 0.01) + 1e-3;
-
-  auto RunWith = [&](unsigned Workers) {
-    VirtualDevice Dev(DeviceSpec::titanX(), Workers);
-    std::vector<double> Data = Input;
-    Dev.launchKernel("stiff-ish", N, 32, [&Data](KernelContext &Ctx) {
-      double X = Data[Ctx.threadIndex()];
-      for (int Step = 0; Step < 50; ++Step)
-        X = X + 0.01 * (1.0 - X * X); // logistic-style update
-      Data[Ctx.threadIndex()] = X;
-    });
-    return Data;
-  };
-
-  std::vector<double> One = RunWith(1);
-  std::vector<double> Four = RunWith(4);
-  EXPECT_EQ(std::memcmp(One.data(), Four.data(), N * sizeof(double)), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -122,8 +122,7 @@ inline const char *cliCommandFlags(const std::string &Command) {
            "simulator out";
   if (Command == "psa1d")
     return "species reaction:uint lo:real hi:real log:switch points:count "
-           "reporter simulator tend:pos samples:uint out stream:switch "
-           "inflight:count sub-batch:count";
+           "reporter simulator tend:pos samples:uint out sub-batch:count";
   if (Command == "steady")
     return "maxtime:pos timescale:pos";
   if (Command == "generate")

@@ -21,7 +21,6 @@
 
 #include "analysis/Psa.h"
 #include "analysis/SteadyState.h"
-#include "analysis/StreamReducers.h"
 #include "core/BatchEngine.h"
 #include "io/ResultsIo.h"
 #include "rbm/Conservation.h"
@@ -125,13 +124,17 @@ std::string failureSummary(const std::vector<SimulationOutcome> &Outcomes) {
   return Summary;
 }
 
-/// psa1d's summary line. The final-value reducer maps a failed
-/// simulation to 0.0, so the map alone would show it as a real value;
-/// the failure count says which reading applies.
+/// psa1d's summary and pipeline lines. The final-value reducer maps a
+/// failed simulation to 0.0, so the map alone would show it as a real
+/// value; the failure count says which reading applies.
 void printPsaSummary(const StreamReport &Report) {
   std::printf("\n%zu simulations (%zu failed), modeled %.4g s\n",
               Report.Simulations, Report.Failures,
               Report.SimulationTime.total());
+  std::printf("pipeline:           %llu sub-batches, %zu outcomes peak "
+              "resident, overlap ratio %.3f\n",
+              (unsigned long long)Report.SubBatches,
+              Report.PeakResidentOutcomes, Report.OverlapRatio);
 }
 
 int usage() {
@@ -150,15 +153,13 @@ int usage() {
       "      when a simulation failed\n"
       "  psa1d <model> --species NAME | --reaction IDX\n"
       "        --lo X --hi Y [--log] [--points P]\n"
-      "        [--reporter NAME] [--tend T] [--out F.csv]\n"
-      "        [--stream] [--inflight N] [--sub-batch B]\n"
+      "        [--reporter NAME] [--tend T] [--samples K] [--out F.csv]\n"
+      "        [--sub-batch B]\n"
       "      sweep one parameter; reports the reporter's final value\n"
       "      (0 for a failed simulation) and exits 1 when any failed.\n"
-      "      --stream drives the bounded-memory pipeline explicitly:\n"
-      "      points are generated lazily, each sub-batch is reduced\n"
-      "      (and, with --out, appended to the CSV) as it finishes,\n"
-      "      and at most --inflight sub-batches of outcomes are ever\n"
-      "      resident; prints overlap ratio and peak residency\n"
+      "      Points are generated lazily and each sub-batch is reduced\n"
+      "      as it finishes, so at most two sub-batches of outcomes are\n"
+      "      ever resident; prints overlap ratio and peak residency\n"
       "  steady <model> [--maxtime T] [--timescale S]\n"
       "      search for a steady state by implicit integration\n"
       "  generate --species N --reactions M [--seed S] [--out F]\n"
@@ -170,7 +171,7 @@ int usage() {
       "the command, or psg-cli exits 2):\n"
       "  --metrics-json F.json   write the process metrics snapshot\n"
       "                          (psg-metrics-v1: solver step counters,\n"
-      "                          sub-batch timings, vgpu launch counts)\n"
+      "                          sub-batch timings, host pool jobs)\n"
       "  --trace-json F.json     record spans and write a\n"
       "                          chrome://tracing-compatible event file\n"
       "\n"
@@ -326,9 +327,9 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
   Opts.SimulatorName = O.get("simulator", "psg-engine");
   Opts.EndTime = O.getDouble("tend", 10.0);
   Opts.OutputSamples = O.getUnsigned("samples", 51);
-  if (Opts.OutputSamples == 1)
-    return cliError("--samples needs 0 or at least 2 (both endpoints)");
-  Opts.InFlight = O.getUnsigned("inflight", 2);
+  if (Opts.OutputSamples < 2)
+    return cliError("--samples needs at least 2: psa1d reads each "
+                    "simulation's last sample");
   if (O.has("sub-batch"))
     Opts.SubBatchSize = O.getUnsigned("sub-batch", 64);
   if (Status S = checkSimulatorName(Opts.SimulatorName); !S)
@@ -336,45 +337,8 @@ int cmdPsa1d(const Options &O, const ReactionNetwork &Net) {
   BatchEngine Engine(CostModel::paperSetup(), Opts);
 
   const size_t Points = O.getUnsigned("points", 17);
-  const TrajectoryReducer Reduce = finalValueReducer(Reporter);
-
-  if (O.has("stream")) {
-    // Explicit streaming pipeline: lazy grid generator feeding a reducing
-    // sink, with the map CSV appended incrementally sub-batch by
-    // sub-batch when --out is given.
-    std::unique_ptr<PointGenerator> Gen = makeGridGenerator(Space, {Points});
-    std::vector<double> Metric;
-    ReducingSink Reducer(Reduce, Metric);
-    StreamingCsvWriter Writer;
-    StreamReport Report;
-    if (O.has("out")) {
-      if (Status S = Writer.open(O.get("out", ""),
-                                 {Axis.Name, "final_value"});
-          !S)
-        fatalError(S.message());
-      GridMapCsvSink CsvSink(Writer, Space, {Points}, Reduce);
-      TeeSink Tee(Reducer, CsvSink);
-      Report = Engine.stream(Space, *Gen, Tee);
-      if (Status S = Writer.close(); !S)
-        fatalError(S.message());
-    } else {
-      Report = Engine.stream(Space, *Gen, Reducer);
-    }
-
-    const std::vector<double> AxisValues = Space.gridAxisValues(0, Points);
-    std::printf("%14s %14s\n", Axis.Name.c_str(),
-                Net.species(Reporter).Name.c_str());
-    for (size_t I = 0; I < AxisValues.size(); ++I)
-      std::printf("%14.6g %14.6g\n", AxisValues[I], Metric[I]);
-    printPsaSummary(Report);
-    std::printf("pipeline:           %llu sub-batches, %zu outcomes peak "
-                "resident, overlap ratio %.3f\n",
-                (unsigned long long)Report.SubBatches,
-                Report.PeakResidentOutcomes, Report.OverlapRatio);
-    return Report.Failures == 0 ? 0 : 1;
-  }
-
-  Psa1dResult R = runPsa1d(Engine, Space, Points, Reduce);
+  Psa1dResult R =
+      runPsa1d(Engine, Space, Points, finalValueReducer(Reporter));
 
   std::printf("%14s %14s\n", Axis.Name.c_str(),
               Net.species(Reporter).Name.c_str());
