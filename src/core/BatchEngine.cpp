@@ -12,7 +12,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <optional>
 
 using namespace psg;
 
@@ -45,22 +44,10 @@ private:
   std::vector<SimulationOutcome> &Into;
 };
 
-/// Copies the aggregate (non-outcome) fields of a stream report into a
-/// materializing report.
-void fillFromStream(EngineReport &Report, StreamReport &&Streamed) {
-  Report.TotalStats = Streamed.TotalStats;
-  Report.IntegrationTime = Streamed.IntegrationTime;
-  Report.SimulationTime = Streamed.SimulationTime;
-  Report.HostWallSeconds = Streamed.HostWallSeconds;
-  Report.Failures = Streamed.Failures;
-  Report.SubBatches = Streamed.SubBatches;
-  Report.Metrics = std::move(Streamed.Metrics);
-}
-
 } // namespace
 
 BatchEngine::BatchEngine(const CostModel &Model, EngineOptions Options)
-    : Opts(std::move(Options)), Model(Model) {
+    : Opts(std::move(Options)) {
   auto SimOrErr = createSimulator(Opts.SimulatorName, Model);
   if (!SimOrErr)
     fatalError(SimOrErr.message());
@@ -107,7 +94,6 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
   Gauge &ModeledSimSeconds = M.gauge("psg.engine.modeled_simulation_s");
   Gauge &ModeledIntSeconds = M.gauge("psg.engine.modeled_integration_s");
   Gauge &PeakResident = M.gauge("psg.engine.peak_resident_outcomes");
-  Gauge &PipelineOverlap = M.gauge("psg.engine.pipeline.overlap_ratio");
 
   StreamReport Report;
 
@@ -117,85 +103,51 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
 
   const uint64_t SubBatch = Opts.SubBatchSize ? Opts.SubBatchSize : 512;
 
-  /// One prepared sub-batch: parameterizations assembled, not dispatched.
-  struct PreparedBatch {
+  size_t First = 0; // Run index of the next sub-batch's first simulation.
+  for (;;) {
+    // Prepare phase: pull the next chunk and assemble its spec; stop
+    // when the source is exhausted.
     BatchSpec Spec;
-    size_t First = 0;
-    double PrepareSeconds = 0.0; ///< Host wall time spent preparing it.
-  };
-  size_t NextIndex = 0;
-  // Engine-resident simulations: the prepared parameterizations plus the
-  // outcomes of the sub-batch currently integrating or being consumed.
-  size_t Resident = 0;
-  // Recycled outcome storage, threaded to the simulator through
-  // Spec.OutcomeBuffer so the outer vector is allocated once per run.
-  std::vector<SimulationOutcome> Recycled;
-
-  // Pulls and prepares the next sub-batch; empty when the source is
-  // exhausted.
-  auto prepareNext = [&]() -> std::optional<PreparedBatch> {
-    TraceSpan GenerateSpan("engine.stream.generate", "engine");
-    WallTimer PrepareTimer;
-    std::vector<Parameterization> Params;
-    Params.reserve(SubBatch);
-    const size_t Count = Source(SubBatch, Params);
-    if (Count == 0)
-      return std::nullopt;
-    PreparedBatch P;
-    P.First = NextIndex;
-    P.Spec.Model = &Net;
-    P.Spec.Compiled = Compiled;
-    P.Spec.Batch = Count;
-    P.Spec.StartTime = Opts.StartTime;
-    P.Spec.EndTime = Opts.EndTime;
-    P.Spec.OutputSamples = Opts.OutputSamples;
-    P.Spec.Options = Opts.Solver;
-    P.Spec.RateConstantSets.reserve(Count);
-    P.Spec.InitialStates.reserve(Count);
-    for (Parameterization &Param : Params) {
-      P.Spec.RateConstantSets.push_back(std::move(Param.RateConstants));
-      P.Spec.InitialStates.push_back(std::move(Param.InitialState));
+    {
+      TraceSpan GenerateSpan("engine.stream.generate", "engine");
+      WallTimer PrepareTimer;
+      std::vector<Parameterization> Params;
+      Params.reserve(SubBatch);
+      const size_t Count = Source(SubBatch, Params);
+      if (Count == 0)
+        break;
+      Spec.Model = &Net;
+      Spec.Compiled = Compiled;
+      Spec.Batch = Count;
+      Spec.StartTime = Opts.StartTime;
+      Spec.EndTime = Opts.EndTime;
+      Spec.OutputSamples = Opts.OutputSamples;
+      Spec.Options = Opts.Solver;
+      Spec.RateConstantSets.reserve(Count);
+      Spec.InitialStates.reserve(Count);
+      for (Parameterization &Param : Params) {
+        Spec.RateConstantSets.push_back(std::move(Param.RateConstants));
+        Spec.InitialStates.push_back(std::move(Param.InitialState));
+      }
+      PrepareSeconds.record(PrepareTimer.seconds());
     }
-    NextIndex += Count;
-    Resident += Count;
+    const uint64_t Count = Spec.Batch;
     Report.PeakResidentOutcomes =
-        std::max(Report.PeakResidentOutcomes, Resident);
-    P.PrepareSeconds = PrepareTimer.seconds();
-    PrepareSeconds.record(P.PrepareSeconds);
-    Report.PrepareWallSeconds += P.PrepareSeconds;
-    return P;
-  };
-
-  // The first sub-batch has no device execution to hide beneath, so its
-  // preparation is always exposed.
-  std::optional<PreparedBatch> Next = prepareNext();
-
-  while (Next) {
-    PreparedBatch P = std::move(*Next);
-    P.Spec.OutcomeBuffer = &Recycled;
-    const uint64_t Count = P.Spec.Batch;
+        std::max<size_t>(Report.PeakResidentOutcomes, Count);
 
     // Dispatch phase: run the sub-batch through the simulator.
     BatchResult Result;
     {
       TraceSpan SubBatchSpan("engine.sub_batch", "engine");
       WallTimer DispatchTimer;
-      Result = Sim->run(P.Spec);
+      Result = Sim->run(Spec);
       DispatchSeconds.record(DispatchTimer.seconds());
       SubBatchSpan.setModeledSeconds(Result.SimulationTime.total());
     }
-
-    // Overlap phase: double-buffering prepares the following sub-batch
-    // now; the cost model bounds how much of this host time a second
-    // stream would have hidden beneath the sub-batch's device execution.
-    Next = prepareNext();
-    const double PreparedDuring = Next ? Next->PrepareSeconds : 0.0;
     SubBatchCount.add();
     Simulations.add(Count);
     FailureCount.add(Result.Failures);
     SubBatchSims.record(static_cast<double>(Count));
-    Report.HiddenPrepareSeconds += Model.hiddenPrepareSeconds(
-        PreparedDuring, Result.SimulationTime.total());
 
     logMessage(LogLevel::Info,
                "engine sub-batch %llu: %llu sims, %zu failures, "
@@ -204,19 +156,14 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
                (unsigned long long)Count, Result.Failures,
                Result.SimulationTime.total());
 
-    // Reduce phase: hand the outcomes to the sink, then release the
-    // trajectory storage (the outer vector is recycled into the next
-    // sub-batch's outcome buffer).
+    // Reduce phase: hand the outcomes to the sink; their storage is
+    // released at the end of this iteration, before the next pull.
     {
       TraceSpan SinkSpan("engine.stream.sink", "engine");
       WallTimer SinkTimer;
-      Sink.consumeSubBatch(P.First, Result.Outcomes);
+      Sink.consumeSubBatch(First, Result.Outcomes);
       SinkSeconds.record(SinkTimer.seconds());
     }
-    Recycled = std::move(Result.Outcomes);
-    Recycled.clear();
-    assert(Resident >= Count && "resident accounting underflow");
-    Resident -= Count;
 
     Report.TotalStats.merge(Result.TotalStats);
     Report.Simulations += Count;
@@ -225,16 +172,12 @@ BatchEngine::streamParameterizations(const ReactionNetwork &Net,
     ++Report.SubBatches;
     accumulateModeled(Report.IntegrationTime, Result.IntegrationTime);
     accumulateModeled(Report.SimulationTime, Result.SimulationTime);
+    First += Count;
   }
 
-  Report.OverlapRatio =
-      Report.PrepareWallSeconds > 0.0
-          ? Report.HiddenPrepareSeconds / Report.PrepareWallSeconds
-          : 0.0;
   ModeledSimSeconds.add(Report.SimulationTime.total());
   ModeledIntSeconds.add(Report.IntegrationTime.total());
   PeakResident.set(static_cast<double>(Report.PeakResidentOutcomes));
-  PipelineOverlap.set(Report.OverlapRatio);
   RunSpan.setModeledSeconds(Report.SimulationTime.total());
   Report.Metrics = M.snapshot();
   return Report;
@@ -244,11 +187,10 @@ EngineReport
 BatchEngine::run(const ParameterSpace &Space,
                  const std::vector<std::vector<double>> &Points) {
   std::unique_ptr<PointGenerator> Gen = makeMaterializedGenerator(Points);
-  EngineReport Report;
-  Report.Outcomes.reserve(Points.size());
-  MaterializingSink Sink(Report.Outcomes);
-  fillFromStream(Report, stream(Space, *Gen, Sink));
-  return Report;
+  std::vector<SimulationOutcome> Outcomes;
+  Outcomes.reserve(Points.size());
+  MaterializingSink Sink(Outcomes);
+  return {stream(Space, *Gen, Sink), std::move(Outcomes)};
 }
 
 EngineReport
@@ -263,9 +205,8 @@ BatchEngine::runParameterizations(const ReactionNetwork &Net,
     Next += Count;
     return Count;
   };
-  EngineReport Report;
-  Report.Outcomes.reserve(Params.size());
-  MaterializingSink Sink(Report.Outcomes);
-  fillFromStream(Report, streamParameterizations(Net, Source, Sink));
-  return Report;
+  std::vector<SimulationOutcome> Outcomes;
+  Outcomes.reserve(Params.size());
+  MaterializingSink Sink(Outcomes);
+  return {streamParameterizations(Net, Source, Sink), std::move(Outcomes)};
 }

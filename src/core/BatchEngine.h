@@ -13,12 +13,11 @@
 ///
 /// Execution is a streaming pipeline with bounded residency: a
 /// PointGenerator (or parameterization source) produces sub-batch-sized
-/// chunks on demand, the next sub-batch is prepared while the current one
-/// integrates (double-buffering that emulates GPU stream overlap in the
-/// timing model), and each integrated sub-batch is handed to an
-/// OutcomeSink before its trajectory storage is released. The
-/// materializing run() entry points are sinks over the same pipeline, so
-/// both paths are bit-identical.
+/// chunks on demand, one sub-batch at a time is assembled and
+/// integrated, and each integrated sub-batch is handed to an OutcomeSink
+/// before its trajectory storage is released and the next chunk is
+/// pulled. The materializing run() entry points are sinks over the same
+/// pipeline, so both paths are bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,10 +39,8 @@ struct EngineOptions {
   /// Simulator personality ("psg-engine", "cpu-lsoda", ...).
   std::string SimulatorName = "psg-engine";
   /// Sub-batch size; 512 maximizes modeled throughput on the Titan X.
-  /// Streaming runs double-buffer: sub-batch N+1's host-side preparation
-  /// is modeled as overlapped with sub-batch N's device execution
-  /// (CostModel::hiddenPrepareSeconds), so engine-resident simulations
-  /// are bounded by 2 * SubBatchSize.
+  /// Streaming runs hold one sub-batch at a time, so engine-resident
+  /// simulations are bounded by SubBatchSize.
   uint64_t SubBatchSize = 512;
   /// Trajectory samples per simulation (0 = endpoints only, no record).
   size_t OutputSamples = 0;
@@ -64,8 +61,8 @@ public:
   /// Consumes the outcomes of one integrated sub-batch. \p FirstIndex is
   /// the global simulation index of Outcomes.front() within the run (the
   /// generator's emission order). The sink may move individual outcomes
-  /// out of the vector; the engine releases and recycles the storage
-  /// right after this returns either way.
+  /// out of the vector; the engine releases the storage right after this
+  /// returns either way.
   virtual void consumeSubBatch(size_t FirstIndex,
                                std::vector<SimulationOutcome> &Outcomes) = 0;
 };
@@ -78,7 +75,7 @@ using ParameterizationSource =
 
 /// Aggregated outcome of a streaming run. Unlike EngineReport it carries
 /// no outcomes: the sink consumed each sub-batch as it finished, so at
-/// no point were more than 2 * SubBatchSize simulations resident.
+/// no point were more than SubBatchSize simulations resident.
 struct StreamReport {
   size_t Simulations = 0; ///< Total simulations streamed, in order.
   IntegrationStats TotalStats;
@@ -87,39 +84,11 @@ struct StreamReport {
   double HostWallSeconds = 0.0;
   size_t Failures = 0;
   uint64_t SubBatches = 0;
-  /// Peak engine-resident simulations (prepared parameterizations plus
-  /// live outcomes); <= 2 * SubBatchSize by construction. Also
-  /// exported as the gauge `psg.engine.peak_resident_outcomes`.
+  /// Peak engine-resident simulations: the largest sub-batch, whose
+  /// parameterizations and outcomes are all the engine holds;
+  /// <= SubBatchSize by construction. Also exported as the gauge
+  /// `psg.engine.peak_resident_outcomes`.
   size_t PeakResidentOutcomes = 0;
-  /// Host-side sub-batch preparation wall time (generation, point
-  /// application, spec assembly) and the part of it the cost model
-  /// hides beneath device execution through double-buffering
-  /// (CostModel::hiddenPrepareSeconds).
-  double PrepareWallSeconds = 0.0;
-  double HiddenPrepareSeconds = 0.0;
-  /// HiddenPrepareSeconds / PrepareWallSeconds; 0 for a run of one
-  /// sub-batch, whose preparation nothing hides.
-  /// Also exported as the gauge `psg.engine.pipeline.overlap_ratio`.
-  double OverlapRatio = 0.0;
-  /// Frozen process-wide metrics taken when the run finished.
-  MetricsSnapshot Metrics;
-
-  /// Modeled simulations per hour on the target architecture.
-  double modeledThroughputPerHour() const {
-    const double T = SimulationTime.total();
-    return T > 0 ? 3600.0 * static_cast<double>(Simulations) / T : 0.0;
-  }
-};
-
-/// Aggregated outcome of a materializing engine run.
-struct EngineReport {
-  std::vector<SimulationOutcome> Outcomes; ///< One per point, in order.
-  IntegrationStats TotalStats;
-  ModeledTime IntegrationTime; ///< Summed over sub-batches.
-  ModeledTime SimulationTime;
-  double HostWallSeconds = 0.0;
-  size_t Failures = 0;
-  uint64_t SubBatches = 0;
   /// Frozen process-wide metrics taken when the run finished: solver
   /// step counters, per-sub-batch timings, host pool jobs and
   /// utilization. Serialized by io/ResultsIo and `psg-cli
@@ -129,8 +98,14 @@ struct EngineReport {
   /// Modeled simulations per hour on the target architecture.
   double modeledThroughputPerHour() const {
     const double T = SimulationTime.total();
-    return T > 0 ? 3600.0 * static_cast<double>(Outcomes.size()) / T : 0.0;
+    return T > 0 ? 3600.0 * static_cast<double>(Simulations) / T : 0.0;
   }
+};
+
+/// Aggregated outcome of a materializing engine run: the stream's
+/// aggregates plus every outcome.
+struct EngineReport : StreamReport {
+  std::vector<SimulationOutcome> Outcomes; ///< One per point, in order.
 };
 
 /// Runs point sets through a simulator personality in sub-batches.
@@ -141,11 +116,11 @@ public:
   const EngineOptions &options() const { return Opts; }
   Simulator &simulator() { return *Sim; }
 
-  /// Streams \p Gen through the simulator: chunks of points are pulled
-  /// and parameterized on demand, the next sub-batch is prepared while
-  /// the current one integrates, and every integrated sub-batch is handed
-  /// to \p Sink before its trajectory storage is released. An empty
-  /// source yields an empty report: no sub-batches, no outcomes.
+  /// Streams \p Gen through the simulator one sub-batch at a time: a
+  /// chunk of points is pulled and parameterized, integrated, and handed
+  /// to \p Sink before its trajectory storage is released and the next
+  /// chunk is pulled. An empty source yields an empty report: no
+  /// sub-batches, no outcomes.
   StreamReport stream(const ParameterSpace &Space, PointGenerator &Gen,
                       OutcomeSink &Sink);
 
@@ -167,7 +142,6 @@ public:
 
 private:
   EngineOptions Opts;
-  CostModel Model;
   std::unique_ptr<Simulator> Sim;
 
   /// Compilation cache: the last network's compiled model, keyed by its

@@ -6,7 +6,6 @@
 
 #include "core/ParameterSpace.h"
 
-#include <algorithm>
 #include <cmath>
 
 using namespace psg;
@@ -86,27 +85,6 @@ ParameterSpace::randomSample(size_t Count, Rng &Generator) const {
     Point.resize(Axes.size());
     for (size_t A = 0; A < Axes.size(); ++A)
       Point[A] = axisValueFromUnit(Axes[A], Generator.uniform());
-  }
-  return Points;
-}
-
-std::vector<std::vector<double>>
-ParameterSpace::latinHypercube(size_t Count, Rng &Generator) const {
-  std::vector<std::vector<double>> Points(Count,
-                                          std::vector<double>(Axes.size()));
-  std::vector<size_t> Permutation(Count);
-  for (size_t A = 0; A < Axes.size(); ++A) {
-    for (size_t I = 0; I < Count; ++I)
-      Permutation[I] = I;
-    // Fisher-Yates shuffle.
-    for (size_t I = Count; I-- > 1;)
-      std::swap(Permutation[I], Permutation[Generator.uniformInt(I + 1)]);
-    for (size_t I = 0; I < Count; ++I) {
-      const double U = (static_cast<double>(Permutation[I]) +
-                        Generator.uniform()) /
-                       static_cast<double>(Count);
-      Points[I][A] = axisValueFromUnit(Axes[A], U);
-    }
   }
   return Points;
 }

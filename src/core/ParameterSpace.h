@@ -9,7 +9,7 @@
 /// initial concentrations, single kinetic constants, or whole groups of
 /// kinetic constants (as the autophagy model's P9 parameter rescales 5476
 /// constants at once), together with the sampling schemes the analyses
-/// use (grids, random, log-uniform, Latin hypercube).
+/// use (grids, random, log-uniform).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,10 +78,6 @@ public:
   /// \p Count points sampled independently uniform (or log-uniform).
   std::vector<std::vector<double>> randomSample(size_t Count,
                                                 Rng &Generator) const;
-
-  /// \p Count points by Latin hypercube sampling.
-  std::vector<std::vector<double>> latinHypercube(size_t Count,
-                                                  Rng &Generator) const;
 
   /// Maps a unit-cube row (each coordinate in [0,1)) onto axis ranges.
   std::vector<double> fromUnitCube(const std::vector<double> &U) const;

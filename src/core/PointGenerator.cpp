@@ -52,7 +52,7 @@ public:
       Values[A] = Space.gridAxisValues(A, this->PointsPerAxis[A]);
       Total *= this->PointsPerAxis[A];
     }
-    reset();
+    Index.assign(Values.size(), 0);
   }
 
   size_t totalPoints() const override { return Total; }
@@ -76,82 +76,12 @@ public:
     return Produced;
   }
 
-  void reset() override {
-    Index.assign(Values.size(), 0);
-    Emitted = 0;
-  }
-
 private:
   const ParameterSpace &Space;
   std::vector<size_t> PointsPerAxis;
   std::vector<std::vector<double>> Values;
   std::vector<size_t> Index;
   size_t Total = 1;
-  size_t Emitted = 0;
-};
-
-/// Chunked randomSample: draws point-major (axes inner) from a private
-/// generator, matching the materialized draw order exactly.
-class RandomGenerator final : public PointGenerator {
-public:
-  RandomGenerator(const ParameterSpace &Space, size_t Count, uint64_t Seed)
-      : Space(Space), Count(Count), Seed(Seed), Generator(Seed) {}
-
-  size_t totalPoints() const override { return Count; }
-
-  size_t next(size_t MaxCount,
-              std::vector<std::vector<double>> &Out) override {
-    size_t Produced = 0;
-    while (Produced < MaxCount && Emitted < Count) {
-      std::vector<double> U(Space.numAxes());
-      for (double &V : U)
-        V = Generator.uniform();
-      Out.push_back(Space.fromUnitCube(U));
-      ++Emitted;
-      ++Produced;
-    }
-    return Produced;
-  }
-
-  void reset() override {
-    Generator = Rng(Seed);
-    Emitted = 0;
-  }
-
-private:
-  const ParameterSpace &Space;
-  size_t Count;
-  uint64_t Seed;
-  Rng Generator;
-  size_t Emitted = 0;
-};
-
-/// Latin hypercube: the stratified permutations couple every point to
-/// every other, so the design is computed once up front (O(Count x
-/// Axes)) and drained in chunks.
-class LatinHypercubeGenerator final : public PointGenerator {
-public:
-  LatinHypercubeGenerator(const ParameterSpace &Space, size_t Count,
-                          uint64_t Seed) {
-    Rng Generator(Seed);
-    Points = Space.latinHypercube(Count, Generator);
-  }
-
-  size_t totalPoints() const override { return Points.size(); }
-
-  size_t next(size_t MaxCount,
-              std::vector<std::vector<double>> &Out) override {
-    const size_t Produced = std::min(MaxCount, Points.size() - Emitted);
-    for (size_t I = 0; I < Produced; ++I)
-      Out.push_back(Points[Emitted + I]);
-    Emitted += Produced;
-    return Produced;
-  }
-
-  void reset() override { Emitted = 0; }
-
-private:
-  std::vector<std::vector<double>> Points;
   size_t Emitted = 0;
 };
 
@@ -182,8 +112,6 @@ public:
     }
     return Produced;
   }
-
-  void reset() override { Emitted = 0; }
 
 private:
   /// The rotated 2K-dimensional Halton row \p I split into the A and B
@@ -245,8 +173,6 @@ public:
     return Produced;
   }
 
-  void reset() override { Emitted = 0; }
-
 private:
   const std::vector<std::vector<double>> &Points;
   size_t Emitted = 0;
@@ -258,18 +184,6 @@ std::unique_ptr<PointGenerator>
 psg::makeGridGenerator(const ParameterSpace &Space,
                        std::vector<size_t> PointsPerAxis) {
   return std::make_unique<GridGenerator>(Space, std::move(PointsPerAxis));
-}
-
-std::unique_ptr<PointGenerator>
-psg::makeRandomGenerator(const ParameterSpace &Space, size_t Count,
-                         uint64_t Seed) {
-  return std::make_unique<RandomGenerator>(Space, Count, Seed);
-}
-
-std::unique_ptr<PointGenerator>
-psg::makeLatinHypercubeGenerator(const ParameterSpace &Space, size_t Count,
-                                 uint64_t Seed) {
-  return std::make_unique<LatinHypercubeGenerator>(Space, Count, Seed);
 }
 
 std::unique_ptr<PointGenerator>

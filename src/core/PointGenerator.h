@@ -6,12 +6,11 @@
 ///
 /// \file
 /// Lazy point generators over a ParameterSpace: the sampling designs of
-/// the analyses (full-factorial grids, independent random draws, Latin
-/// hypercubes, the Saltelli matrix set of the Sobol analysis) emitted in
-/// sub-batch-sized chunks on demand instead of materializing the whole
-/// design up front. Generators are the producer side of
-/// BatchEngine::stream: a 10^6-point sweep never holds more than one
-/// chunk of points (and one in-flight window of parameterizations and
+/// the analyses (full-factorial grids, the Saltelli matrix set of the
+/// Sobol analysis) emitted in sub-batch-sized chunks on demand instead of
+/// materializing the whole design up front. Generators are the producer
+/// side of BatchEngine::stream: a 10^6-point sweep never holds more than
+/// one chunk of points (and one sub-batch of parameterizations and
 /// outcomes) at a time.
 ///
 /// Every generator is bit-identical to its materializing counterpart on
@@ -28,7 +27,7 @@
 
 namespace psg {
 
-/// A restartable stream of parameter-space points.
+/// A stream of parameter-space points.
 class PointGenerator {
 public:
   virtual ~PointGenerator();
@@ -40,9 +39,6 @@ public:
   /// number appended (0 when the stream is exhausted).
   virtual size_t next(size_t MaxCount,
                       std::vector<std::vector<double>> &Out) = 0;
-
-  /// Rewinds the stream to its first point (replaying identical values).
-  virtual void reset() = 0;
 };
 
 /// Full-factorial grid over all axes of \p Space, row-major with the
@@ -50,21 +46,6 @@ public:
 std::unique_ptr<PointGenerator>
 makeGridGenerator(const ParameterSpace &Space,
                   std::vector<size_t> PointsPerAxis);
-
-/// \p Count independent uniform (or log-uniform) draws — chunked
-/// randomSample() with a private Rng(\p Seed) stream.
-std::unique_ptr<PointGenerator>
-makeRandomGenerator(const ParameterSpace &Space, size_t Count,
-                    uint64_t Seed);
-
-/// \p Count Latin-hypercube points with a private Rng(\p Seed) stream.
-/// Stratification needs the per-axis permutations of the whole design,
-/// so this generator carries O(Count x Axes) state — the streaming
-/// savings are the parameterizations and trajectories downstream, not
-/// the raw coordinates.
-std::unique_ptr<PointGenerator>
-makeLatinHypercubeGenerator(const ParameterSpace &Space, size_t Count,
-                            uint64_t Seed);
 
 /// The Saltelli design of the Sobol analysis over the K axes of
 /// \p Space: N rows of matrix A, N of B, the K radial blocks AB_i, and

@@ -115,15 +115,6 @@ public:
     return false;
   }
 
-  /// Drops any pattern claim: the next claimPattern() will zero-fill.
-  /// Fillers that write every element (e.g. the finite-difference
-  /// Jacobian) call this so a later pattern-only writer does not mistake
-  /// their dense fill for its own sparse one.
-  void releasePatternClaim() {
-    PatternOwner = nullptr;
-    PatternEpoch = 0;
-  }
-
   /// In-place scaled add: *this += Alpha * Other (same shape).
   void addScaled(const DenseMatrix &Other, T Alpha) {
     assert(NumRows == Other.NumRows && NumCols == Other.NumCols &&

@@ -35,14 +35,6 @@ enum class IntegrationStatus {
 /// Short human-readable name for \p Status.
 const char *integrationStatusName(IntegrationStatus Status);
 
-/// Returns true for terminal statuses that still leave a usable state
-/// (Success, MaxStepsExceeded used as a segment boundary).
-inline bool isRecoverable(IntegrationStatus Status) {
-  return Status == IntegrationStatus::Success ||
-         Status == IntegrationStatus::MaxStepsExceeded ||
-         Status == IntegrationStatus::StiffnessDetected;
-}
-
 /// Operation counts accumulated over an integration.
 struct IntegrationStats {
   uint64_t Steps = 0;          ///< Attempted steps.

@@ -14,9 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#ifdef PSG_MS_DEBUG
-#include <cstdio>
-#endif
 
 using namespace psg;
 
@@ -385,10 +382,6 @@ IntegrationStatus MultistepDriver::advance() {
     }
 
     const double Exponent = 1.0 / (static_cast<double>(Q) + 1.0);
-#ifdef PSG_MS_DEBUG
-    std::fprintf(stderr, "attempt T=%.6e Hs=%.3e q=%u hist=%zu err=%.3e\n", T,
-                 Hs, Q, HistCount, Err);
-#endif
     if (Err > 1.0) {
       ++Stats.RejectedSteps;
       ConsecutiveAccepts = 0;
@@ -440,15 +433,6 @@ double MultistepDriver::estimateSpectralRadius() {
   Stats.RhsEvaluations += Sys->jacobian(T, Y.data(), CurrF.data(), Jac);
   ++Stats.JacobianEvaluations;
   return powerIterationSpectralRadius(Jac);
-}
-
-IntegrationResult psg::runMultistep(const OdeSystem &Sys, double T0,
-                                    double TEnd, std::vector<double> &Y,
-                                    const SolverOptions &Opts,
-                                    MultistepMethod Method,
-                                    StepObserver *Observer) {
-  MultistepDriver Driver;
-  return runMultistep(Driver, Sys, T0, TEnd, Y, Opts, Method, Observer);
 }
 
 IntegrationResult psg::runMultistep(MultistepDriver &Driver,

@@ -172,14 +172,6 @@ private:
   MultistepDriver Driver; ///< History/scratch reused across integrations.
 };
 
-/// Shared driver loop used by the plain Adams/BDF solvers; allocates a
-/// fresh driver per call.
-IntegrationResult runMultistep(const OdeSystem &Sys, double T0, double TEnd,
-                               std::vector<double> &Y,
-                               const SolverOptions &Opts,
-                               MultistepMethod Method,
-                               StepObserver *Observer);
-
 /// Shared driver loop over a caller-owned (reusable) driver: \p Driver is
 /// reset onto (Sys, Opts, Method) — counting a workspace reuse when its
 /// buffers carry over — then stepped to TEnd.

@@ -29,8 +29,6 @@
 
 namespace psg {
 
-struct SimulationOutcome;
-
 /// One batch of simulations over a common model and time window.
 ///
 /// Per-simulation parameterizations are optional: when RateConstantSets /
@@ -51,14 +49,6 @@ struct BatchSpec {
   SolverOptions Options;
   std::vector<std::vector<double>> RateConstantSets;
   std::vector<std::vector<double>> InitialStates;
-  /// Optional recycled outcome storage. When set, the simulator adopts
-  /// this vector (clearing it) as the backing store of
-  /// BatchResult::Outcomes instead of allocating fresh — the streaming
-  /// engine hands the previous sub-batch's released vector back so the
-  /// outer allocation is reused across a whole run. Purely an allocation
-  /// hint: outcomes are value-identical either way. Counted by
-  /// `psg.sim.outcome_buffer_reuses`.
-  std::vector<SimulationOutcome> *OutcomeBuffer = nullptr;
 };
 
 /// Outcome of one simulation of the batch.

@@ -65,23 +65,6 @@ SimulationOutcome runOne(const BatchSpec &Spec, CompiledOdeSystem &Sys,
   return Out;
 }
 
-/// Outcome storage for one batch: adopts the recycled vector from
-/// Spec.OutcomeBuffer when present (streaming runs hand the previous
-/// sub-batch's released storage back) before sizing it to the batch.
-std::vector<SimulationOutcome> makeOutcomeStorage(const BatchSpec &Spec) {
-  std::vector<SimulationOutcome> Outcomes;
-  if (Spec.OutcomeBuffer) {
-    static Counter &BufferReuses =
-        metrics().counter("psg.sim.outcome_buffer_reuses");
-    Outcomes = std::move(*Spec.OutcomeBuffer);
-    Outcomes.clear();
-    if (Outcomes.capacity() > 0)
-      BufferReuses.add();
-  }
-  Outcomes.resize(Spec.Batch);
-  return Outcomes;
-}
-
 /// The rule \p Spec's window breaks, or null when it is valid: a finite
 /// window with StartTime < EndTime (ode/SolverOptions.h), and 0 output
 /// samples or at least 2, since the sample grid holds both endpoints.
@@ -98,7 +81,7 @@ const char *invalidWindowRule(const BatchSpec &Spec) {
 /// probed or integrated.
 BatchResult rejectBatch(const BatchSpec &Spec, const char *Rule) {
   BatchResult R;
-  R.Outcomes = makeOutcomeStorage(Spec);
+  R.Outcomes.resize(Spec.Batch);
   for (SimulationOutcome &O : R.Outcomes) {
     O.Result.Status = IntegrationStatus::Aborted;
     O.Result.FinalTime = Spec.StartTime;
@@ -148,7 +131,7 @@ BatchResult BatchSimulator::run(const BatchSpec &Spec) {
   if (const char *Rule = invalidWindowRule(Spec))
     return rejectBatch(Spec, Rule);
   WallTimer Timer;
-  std::vector<SimulationOutcome> Outcomes = makeOutcomeStorage(Spec);
+  std::vector<SimulationOutcome> Outcomes(Spec.Batch);
   // P1 happens once per batch in resolveModel (or once per network when
   // the engine passes a cached compilation down); each worker slot holds
   // a persistent parameterized view of the shared model.

@@ -54,14 +54,6 @@ double CostModel::dpPenalty(uint64_t ConcurrentChildren) const {
   return 1.0 + Knobs.DpSoftSlope + Knobs.DpHardCoeff * Over * Over;
 }
 
-double CostModel::hiddenPrepareSeconds(double HostPrepareSeconds,
-                                       double DeviceSeconds) const {
-  if (HostPrepareSeconds <= 0.0 || DeviceSeconds <= 0.0)
-    return 0.0;
-  return std::min(Knobs.StreamOverlapEfficiency * HostPrepareSeconds,
-                  DeviceSeconds);
-}
-
 ModeledTime CostModel::cpuSerial(const SimulationWork &Work,
                                  uint64_t Batch) const {
   ModeledTime T;

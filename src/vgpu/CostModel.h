@@ -31,6 +31,7 @@
 #include "vgpu/DeviceSpec.h"
 
 #include <cstdint>
+#include <utility>
 
 namespace psg {
 
@@ -112,13 +113,6 @@ public:
     /// memory like the coarse-grained simulator does. Off by default to
     /// match the published system (which relies on global memory only).
     bool FineCoarseFastMemory = false;
-    /// Fraction of host-side sub-batch preparation (point generation,
-    /// parameterization, P1 encoding) that a second CUDA stream hides
-    /// beneath the device's kernel execution when sub-batches are
-    /// double-buffered. Below 1.0 because the copy engine contends with
-    /// kernel global-memory traffic and the final H2D chunk of batch
-    /// N+1 must still serialize before its launch.
-    double StreamOverlapEfficiency = 0.85;
   };
 
   CostModel(DeviceSpec Gpu, DeviceSpec Cpu)
@@ -143,16 +137,6 @@ public:
 
   /// The dynamic-parallelism saturation factor at \p ConcurrentChildren.
   double dpPenalty(uint64_t ConcurrentChildren) const;
-
-  /// Seconds of host-side sub-batch preparation hidden beneath device
-  /// execution when the pipeline is double-buffered: bounded both by the
-  /// modeled device time of the in-flight sub-batch and by the stream
-  /// overlap efficiency.
-  double hiddenPrepareSeconds(double HostPrepareSeconds,
-                              double DeviceSeconds) const;
-
-  const DeviceSpec &cpu() const { return Cpu; }
-  const Tunables &tunables() const { return Knobs; }
 
 private:
   DeviceSpec Gpu;

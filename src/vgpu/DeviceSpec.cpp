@@ -10,7 +10,6 @@ using namespace psg;
 
 DeviceSpec DeviceSpec::titanX() {
   DeviceSpec D;
-  D.Name = "gtx-titan-x";
   D.Sms = 24;
   D.CoresPerSm = 128;
   D.ClockGhz = 1.075;
@@ -22,8 +21,6 @@ DeviceSpec DeviceSpec::titanX() {
   D.WarpSize = 32;
   D.MaxThreadsPerSm = 2048;
   D.GlobalBandwidthGBs = 336.0;
-  D.GlobalLatencyNs = 350.0;
-  D.SharedLatencyNs = 15.0;
   D.SharedMemPerSmBytes = 96 * 1024;
   D.ConstantMemBytes = 64 * 1024;
   D.KernelLaunchUs = 6.0;
@@ -34,7 +31,6 @@ DeviceSpec DeviceSpec::titanX() {
 
 DeviceSpec DeviceSpec::cpuCore() {
   DeviceSpec D;
-  D.Name = "i7-2600-core";
   D.Sms = 1;
   D.CoresPerSm = 1;
   D.ClockGhz = 3.4;
@@ -44,8 +40,6 @@ DeviceSpec DeviceSpec::cpuCore() {
   D.WarpSize = 1;
   D.MaxThreadsPerSm = 1;
   D.GlobalBandwidthGBs = 21.0;
-  D.GlobalLatencyNs = 60.0;
-  D.SharedLatencyNs = 1.0; // L1-resident working set.
   D.KernelLaunchUs = 0.0;
   D.ChildLaunchUs = 0.0;
   D.SyncPointUs = 0.0;

@@ -21,14 +21,11 @@
 #define PSG_VGPU_DEVICESPEC_H
 
 #include <cstddef>
-#include <string>
 
 namespace psg {
 
 /// Describes one execution architecture for the cost model.
 struct DeviceSpec {
-  std::string Name = "device";
-
   // Compute resources.
   unsigned Sms = 24;            ///< Streaming multiprocessors.
   unsigned CoresPerSm = 128;    ///< Scalar cores per SM.
@@ -39,8 +36,6 @@ struct DeviceSpec {
 
   // Memory system.
   double GlobalBandwidthGBs = 300.0;  ///< Device-memory bandwidth.
-  double GlobalLatencyNs = 350.0;     ///< Uncontended global latency.
-  double SharedLatencyNs = 15.0;      ///< Shared/constant memory latency.
   size_t SharedMemPerSmBytes = 96 * 1024;
   size_t ConstantMemBytes = 64 * 1024;
 

@@ -122,15 +122,17 @@ void ThreadPool::parallelFor(size_t Count,
   MetricsRegistry &M = metrics();
   M.counter("psg.vgpu.pool.jobs").add();
   M.counter("psg.vgpu.pool.tasks").add(Count);
-  M.gauge("psg.vgpu.pool.busy_s").add(BusySeconds);
-  M.gauge("psg.vgpu.pool.wall_s").add(WallSeconds);
-  if (WallSeconds > 0.0) {
-    // Busy time sums every participant, the caller included, so the
-    // capacity it is measured against counts the caller too.
-    const double Capacity = WallSeconds * parallelism();
+  Gauge &Busy = M.gauge("psg.vgpu.pool.busy_s");
+  Gauge &Wall = M.gauge("psg.vgpu.pool.wall_s");
+  Busy.add(BusySeconds);
+  Wall.add(WallSeconds);
+  // Utilization covers every job since the last metrics reset, not just
+  // this one. Busy time sums every participant, the caller included, so
+  // the capacity it is measured against counts the caller too.
+  const double Capacity = Wall.value() * parallelism();
+  if (Capacity > 0.0)
     M.gauge("psg.vgpu.pool.utilization")
-        .set(std::min(1.0, BusySeconds / Capacity));
-  }
+        .set(std::min(1.0, Busy.value() / Capacity));
 }
 
 void ThreadPool::parallelFor(size_t Count, FunctionRef<void(size_t)> Body) {

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 #include <string>
 
 using namespace psg;
@@ -79,23 +78,6 @@ TEST(ParameterSpaceTest, RandomSampleWithinBounds) {
   for (const auto &Point : Space.randomSample(200, R)) {
     EXPECT_GE(Point[0], 2.0);
     EXPECT_LT(Point[0], 5.0);
-  }
-}
-
-TEST(ParameterSpaceTest, LatinHypercubeStratifiesEachAxis) {
-  ReactionNetwork Net = makeBrusselatorNetwork();
-  ParameterSpace Space(Net);
-  Space.addAxis(initialAxis(Net, "F", 0.0, 1.0));
-  Space.addAxis(initialAxis(Net, "X", 0.0, 1.0));
-  Rng R(7);
-  const size_t Count = 16;
-  auto Points = Space.latinHypercube(Count, R);
-  ASSERT_EQ(Points.size(), Count);
-  for (size_t Axis = 0; Axis < 2; ++Axis) {
-    std::set<size_t> Strata;
-    for (const auto &Point : Points)
-      Strata.insert(static_cast<size_t>(Point[Axis] * Count));
-    EXPECT_EQ(Strata.size(), Count) << "axis " << Axis;
   }
 }
 

@@ -163,12 +163,30 @@ TEST(ThreadPoolTest, ResultsIndependentOfWorkerCount) {
 TEST(ThreadPoolTest, UtilizationCountsTheCallerAsCapacity) {
   // One busy participant out of two (the worker plus the caller) uses
   // half the pool, not all of it.
+  metrics().reset();
   ThreadPool Pool(1);
   Pool.parallelFor(1, [](size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   });
   EXPECT_LT(metrics().snapshot().gaugeValue("psg.vgpu.pool.utilization"),
             0.75);
+}
+
+TEST(ThreadPoolTest, UtilizationCoversEveryJobOfTheRun) {
+  // The gauge reads the accumulated busy and wall seconds, so a
+  // half-idle job followed by a full one does not read as the last job.
+  metrics().reset();
+  ThreadPool Pool(1);
+  auto Sleep = [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  Pool.parallelFor(1, Sleep);
+  Pool.parallelFor(2, Sleep);
+  const MetricsSnapshot S = metrics().snapshot();
+  const double Busy = S.gaugeValue("psg.vgpu.pool.busy_s");
+  const double Wall = S.gaugeValue("psg.vgpu.pool.wall_s");
+  EXPECT_DOUBLE_EQ(S.gaugeValue("psg.vgpu.pool.utilization"),
+                   Busy / (Wall * Pool.parallelism()));
 }
 
 //===----------------------------------------------------------------------===//

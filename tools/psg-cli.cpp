@@ -132,9 +132,9 @@ void printPsaSummary(const StreamReport &Report) {
               Report.Simulations, Report.Failures,
               Report.SimulationTime.total());
   std::printf("pipeline:           %llu sub-batches, %zu outcomes peak "
-              "resident, overlap ratio %.3f\n",
+              "resident\n",
               (unsigned long long)Report.SubBatches,
-              Report.PeakResidentOutcomes, Report.OverlapRatio);
+              Report.PeakResidentOutcomes);
 }
 
 int usage() {
@@ -158,8 +158,8 @@ int usage() {
       "      sweep one parameter; reports the reporter's final value\n"
       "      (0 for a failed simulation) and exits 1 when any failed.\n"
       "      Points are generated lazily and each sub-batch is reduced\n"
-      "      as it finishes, so at most two sub-batches of outcomes are\n"
-      "      ever resident; prints overlap ratio and peak residency\n"
+      "      as it finishes, so at most one sub-batch of outcomes is\n"
+      "      ever resident; prints the peak residency\n"
       "  steady <model> [--maxtime T] [--timescale S]\n"
       "      search for a steady state by implicit integration\n"
       "  generate --species N --reactions M [--seed S] [--out F]\n"
@@ -245,8 +245,9 @@ int cmdSimulate(const Options &O, const ReactionNetwork &Net) {
   Opts.SimulatorName = O.get("simulator", "psg-engine");
   Opts.EndTime = O.getDouble("tend", 10.0);
   Opts.OutputSamples = O.getUnsigned("samples", 101);
-  if (Opts.OutputSamples == 1)
-    return cliError("--samples needs 0 or at least 2 (both endpoints)");
+  if (Opts.OutputSamples < 2)
+    return cliError("--samples needs at least 2: simulate writes the "
+                    "first trajectory with both endpoints");
   if (Status S = checkSimulatorName(Opts.SimulatorName); !S)
     return cliError(S.message());
   BatchEngine Engine(CostModel::paperSetup(), Opts);
